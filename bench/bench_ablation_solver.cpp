@@ -7,14 +7,8 @@
 // fraction r_max (the MIP optimizes it exactly; greedy only approximates it
 // through a convex congestion penalty).
 //
-// Two further ablations cover the column-generation path:
-//   - pricing on/off: the restricted master solved over the seed shortest
-//     paths only (no pricing, no certificate) versus the full price-in
-//     loop, versus the monolithic encoding — isolating what the pricing
-//     iterations buy and what they cost;
-//   - shard/thread sweep: sharded provisioning of one workload at 1..8
-//     worker threads — wall-clock should drop while the answer (and every
-//     solver counter) stays bit-identical.
+// A second table sets column generation (price-in loop plus certificate)
+// against the monolithic encoding on the same requests.
 #include <cstdio>
 
 #include "automata/automata.h"
@@ -64,15 +58,14 @@ int main() {
         "relaxations are integral),\nwith the MIP's solve time growing much "
         "faster than greedy's\n");
 
-    // ----------------------------------------------------- colgen ablation
-    // Same requests as compile() would build, constructed directly so the
-    // provisioners can be called with explicit Colgen_options.
+    // ----------------------------------------------------- colgen vs full
+    // Same requests as compile() would build, constructed directly so both
+    // provisioners solve exactly the same instance.
     std::printf(
-        "\nAblation — column generation pricing (fat tree k=4, wsp, "
-        "1MB/s guarantees)\n\n");
-    std::printf("%10s | %12s %8s %7s | %12s %8s %7s | %12s\n", "guaranteed",
-                "no-price(ms)", "columns", "fallbk", "colgen(ms)", "columns",
-                "rounds", "full(ms)");
+        "\nAblation — column generation vs the full encoding (fat tree k=4, "
+        "wsp, 1MB/s guarantees)\n\n");
+    std::printf("%10s | %12s %8s %7s %7s | %12s\n", "guaranteed",
+                "colgen(ms)", "columns", "rounds", "fallbk", "full(ms)");
     {
         const topo::Topology t = topo::fat_tree(4);
         const automata::Alphabet alphabet = core::make_alphabet(t);
@@ -85,7 +78,7 @@ int main() {
             std::vector<core::Guaranteed_request> requests;
             for (int i = 0; i < n; ++i) {
                 core::Guaranteed_request r;
-                r.id = "g" + std::to_string(i);
+                r.id = indexed("g", i);
                 r.rate = mb_per_sec(1);
                 const auto src = hosts[static_cast<std::size_t>(
                     i % static_cast<int>(hosts.size()))];
@@ -100,15 +93,6 @@ int main() {
         for (int guaranteed : {4, 8, 12, 16}) {
             const auto requests = make_requests(guaranteed);
 
-            core::Colgen_options no_pricing;
-            no_pricing.pricing = false;
-            no_pricing.allow_fallback = false;
-            const bench::Stopwatch seed_watch;
-            const core::Provision_result seeded = core::provision_colgen(
-                t, requests, core::Heuristic::weighted_shortest_path, {},
-                no_pricing);
-            const double seed_ms = seed_watch.ms();
-
             const bench::Stopwatch cg_watch;
             const core::Provision_result cg = core::provision_colgen(
                 t, requests, core::Heuristic::weighted_shortest_path, {});
@@ -120,42 +104,14 @@ int main() {
             const double full_ms = full_watch.ms();
             (void)full;
 
-            std::printf("%10d | %12.1f %8d %7d | %12.1f %8d %7d | %12.1f\n",
-                        guaranteed, seed_ms, seeded.columns_generated,
-                        seeded.full_fallbacks, cg_ms, cg.columns_generated,
-                        cg.colgen_rounds, full_ms);
+            std::printf("%10d | %12.1f %8d %7d %7d | %12.1f\n", guaranteed,
+                        cg_ms, cg.columns_generated, cg.colgen_rounds,
+                        cg.full_fallbacks, full_ms);
         }
     }
     std::printf(
-        "\nexpected: pricing-off is cheapest but carries no certificate; "
-        "the full pricing loop adds\nfew columns on uncongested workloads "
-        "and stays well under the monolithic encoding\n");
-
-    // ------------------------------------------------- shard/thread sweep
-    std::printf(
-        "\nAblation — sharded provisioning thread sweep (fat tree k=4, "
-        "all-pairs, 16 x 1MB/s)\n\n");
-    std::printf("%8s | %10s %8s %8s %10s\n", "threads", "wall(ms)", "shards",
-                "fallbk", "objective");
-    {
-        const topo::Topology t = topo::fat_tree(4);
-        const ir::Policy policy =
-            bench::all_pairs_policy(t, 16, mb_per_sec(1));
-        for (int jobs : {1, 2, 4, 8}) {
-            core::Compile_options options = bench::scalability_options();
-            options.solver = core::Solver::mip;
-            options.solver_mode = core::Solver_mode::sharded;
-            options.jobs = jobs;
-            const bench::Stopwatch watch;
-            const core::Compilation c = core::compile(policy, t, options);
-            std::printf("%8d | %10.1f %8d %8d %10.4f\n", jobs, watch.ms(),
-                        c.provision.shards_used, c.provision.full_fallbacks,
-                        c.provision.objective);
-        }
-    }
-    std::printf(
-        "\nexpected: identical shards/objective at every thread count "
-        "(bit-equal output), wall-clock\nflat-to-falling with threads — the "
-        "zone MIPs are small, so the win is bounded by the residual\n");
+        "\nexpected: the pricing loop adds few columns on uncongested "
+        "workloads, certifies without\nfallback, and stays well under the "
+        "monolithic encoding\n");
     return 0;
 }

@@ -7,11 +7,11 @@
 // (simplex iterations, B&B nodes) that explain the wall-clock.
 //
 // Each tree is provisioned once per solver attack plan: the monolithic MIP
-// ("full"), path-based column generation ("colgen"), and sharded parallel
-// provisioning ("sharded"). The full encoding is only run where it is
-// tractable (k <= 4); the point of the larger rows is that colgen/sharded
-// keep the k=6 and k=8 trees provisionable at all — certified against the
-// full encoding's optimum, or honestly counted as a fallback.
+// ("full") and path-based column generation ("colgen"). The full encoding
+// is only run where it is tractable (k <= 4); the point of the larger rows
+// is that colgen keeps the k=6 and k=8 trees provisionable at all —
+// certified against the full encoding's optimum, or honestly counted as a
+// fallback.
 //
 // When MERLIN_BENCH_JSON names a file, the same rows are emitted as
 // machine-readable JSON so CI can archive the solver perf trajectory
@@ -46,7 +46,6 @@ struct Result {
     int warm_started_nodes = 0;
     int colgen_rounds = 0;
     int columns_generated = 0;
-    int shards_used = 0;
     int full_fallbacks = 0;
     std::string solver;
 };
@@ -67,13 +66,13 @@ void write_json(const char* path, const std::vector<Result>& results) {
                      "\"rateless_ms\": %.3f, \"simplex_iterations\": %lld, "
                      "\"mip_nodes\": %d, \"warm_started_nodes\": %d, "
                      "\"colgen_rounds\": %d, \"columns\": %d, "
-                     "\"shards\": %d, \"full_fallbacks\": %d, "
+                     "\"full_fallbacks\": %d, "
                      "\"solver\": \"%s\"}%s\n",
                      r.k, r.classes, r.guaranteed, r.mode.c_str(),
                      r.construction_ms, r.solve_ms, r.rateless_ms,
                      r.simplex_iterations, r.mip_nodes, r.warm_started_nodes,
-                     r.colgen_rounds, r.columns_generated, r.shards_used,
-                     r.full_fallbacks, r.solver.c_str(),
+                     r.colgen_rounds, r.columns_generated, r.full_fallbacks,
+                     r.solver.c_str(),
                      i + 1 < results.size() ? "," : "");
     }
     std::fprintf(out, "  ]\n}\n");
@@ -118,8 +117,7 @@ int main() {
 
         // The monolithic encoding carries one binary per (request, logical
         // edge): tractable through k=4, pointless to wait on beyond it.
-        std::vector<core::Solver_mode> modes{core::Solver_mode::colgen,
-                                             core::Solver_mode::sharded};
+        std::vector<core::Solver_mode> modes{core::Solver_mode::colgen};
         if (row.k <= 4)
             modes.insert(modes.begin(), core::Solver_mode::full);
 
@@ -155,7 +153,6 @@ int main() {
             r.warm_started_nodes = c.provision.warm_started_nodes;
             r.colgen_rounds = c.provision.colgen_rounds;
             r.columns_generated = c.provision.columns_generated;
-            r.shards_used = c.provision.shards_used;
             r.full_fallbacks = c.provision.full_fallbacks;
             r.solver = c.provision.solver;
             results.push_back(r);

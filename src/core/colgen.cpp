@@ -10,7 +10,6 @@
 #include <utility>
 
 #include "util/error.h"
-#include "util/thread_pool.h"
 
 namespace merlin::core {
 
@@ -24,6 +23,10 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 // only costs a fallback, never correctness.
 constexpr double kBigM = 1e8;
 constexpr double kArtificialTol = 1e-6;
+// Pricing stops after this many master solves (uncertified if it has not
+// dried up by then); a path prices in below -kPricingTol reduced cost.
+constexpr int kMaxRounds = 200;
+constexpr double kPricingTol = 1e-6;
 
 bool edge_usable(const topo::Topology& topo, const Logical_edge& edge) {
     return edge.link == topo::kNoLink || topo.link_up(edge.link);
@@ -31,9 +34,8 @@ bool edge_usable(const topo::Topology& topo, const Logical_edge& edge) {
 
 // Cost-only Dijkstra over one request's logical graph (all costs are
 // positive), skipping edges over down links. Returns the edge ids of the
-// shortest s~>t path, or nullopt when the sink is unreachable. This is
-// both the seed column of the restricted master and the per-request lower
-// bound of the sharding certificate.
+// shortest s~>t path, or nullopt when the sink is unreachable: the seed
+// column of the restricted master.
 std::optional<std::vector<int>> shortest_path_edges(
     const topo::Topology& topo, const Logical_topology& logical,
     const std::vector<double>& edge_costs) {
@@ -140,8 +142,7 @@ struct Master {
 
 Master build_master(const topo::Topology& topo,
                     const std::vector<Guaranteed_request>& requests,
-                    Heuristic heuristic,
-                    const std::vector<double>* capacity_override) {
+                    Heuristic heuristic) {
     Master m;
     m.r_max_var = m.problem.add_continuous(
         heuristic == Heuristic::min_max_ratio ? 1000.0 : 0.0, 0.0, 1.0);
@@ -152,9 +153,7 @@ Master build_master(const topo::Topology& topo,
     m.overflow_var.assign(static_cast<std::size_t>(topo.link_count()), -1);
     for (topo::LinkId link = 0; link < topo.link_count(); ++link) {
         const auto l = static_cast<std::size_t>(link);
-        const double capacity =
-            capacity_override != nullptr ? (*capacity_override)[l]
-                                         : topo.link(link).capacity.mbps();
+        const double capacity = topo.link(link).capacity.mbps();
         const int overflow = m.problem.add_continuous(kBigM, 0.0,
                                                       lp::kInfinity);
         m.overflow_var[l] = overflow;
@@ -170,8 +169,8 @@ Master build_master(const topo::Topology& topo,
                 lp::Sense::less_equal, 0.0,
                 {{r_uv, capacity}, {m.big_r_max_var, -1.0}});
         } else {
-            // A fully consumed residual link: any use must go through the
-            // overflow artificial, i.e. is effectively forbidden.
+            // A zero-capacity link: any use must go through the overflow
+            // artificial, i.e. is effectively forbidden.
             m.problem.add_constraint(lp::Sense::equal, 0.0,
                                      {{overflow, 1.0}});
         }
@@ -210,26 +209,18 @@ void add_column(Master& m, const std::vector<Guaranteed_request>& requests,
     m.columns.push_back({request, std::move(edges), var});
 }
 
-// Everything run_colgen learned, certified or not; the public entry points
-// decide between accepting, retrying globally, or re-solving in full.
-struct Colgen_outcome {
+// Column generation proper. The result is feasible only when certified;
+// otherwise provision_colgen keeps just its work counters and re-solves in
+// full.
+Provision_result run_colgen(const topo::Topology& topo,
+                            const std::vector<Guaranteed_request>& requests,
+                            Heuristic heuristic, const mip::Options& options) {
     Provision_result result;
-    bool certified = false;
-    bool clean = false;  // usable integer answer with zero artificials
-};
-
-Colgen_outcome run_colgen(const topo::Topology& topo,
-                          const std::vector<Guaranteed_request>& requests,
-                          const std::vector<std::vector<double>>& costs,
-                          Heuristic heuristic, const mip::Options& options,
-                          const Colgen_options& copts,
-                          const std::vector<double>* capacity_override) {
-    Colgen_outcome out;
-    Provision_result& result = out.result;
     result.solver = "colgen";
+    const std::vector<std::vector<double>> costs =
+        detail::request_costs(requests, heuristic);
 
-    Master master = build_master(topo, requests, heuristic,
-                                 capacity_override);
+    Master master = build_master(topo, requests, heuristic);
     for (std::size_t i = 0; i < requests.size(); ++i) {
         auto seed = shortest_path_edges(topo, requests[i].logical, costs[i]);
         if (seed.has_value()) {
@@ -246,7 +237,7 @@ Colgen_outcome run_colgen(const topo::Topology& topo,
     int basis_vars = 0;
     bool converged = false;
     double dual_bound = 0;
-    for (int round = 1; round <= copts.max_rounds; ++round) {
+    for (int round = 1; round <= kMaxRounds; ++round) {
         result.colgen_rounds = round;
         const lp::Problem& relaxation = master.problem.relaxation();
         remap_basis(basis, basis_vars, relaxation.variable_count());
@@ -258,7 +249,6 @@ Colgen_outcome run_colgen(const topo::Topology& topo,
         if (rmp.status != lp::Status::optimal) break;  // uncertified
         basis = rmp.basis;
         dual_bound = rmp.objective;
-        if (!copts.pricing) break;
 
         std::vector<double> pi(static_cast<std::size_t>(topo.link_count()));
         for (topo::LinkId link = 0; link < topo.link_count(); ++link)
@@ -278,7 +268,7 @@ Colgen_outcome run_colgen(const topo::Topology& topo,
                 continue;
             }
             if (priced->edges.empty()) continue;  // sink unreachable
-            if (priced->reduced_cost < -copts.pricing_tol &&
+            if (priced->reduced_cost < -kPricingTol &&
                 master.seen[i].count(priced->edges) == 0) {
                 add_column(master, requests, static_cast<int>(i),
                            priced->edges, priced->cost);
@@ -305,7 +295,7 @@ Colgen_outcome run_colgen(const topo::Topology& topo,
     result.simplex_iterations += integer.simplex_iterations;
     result.lp_factorizations += integer.lp_factorizations;
     result.warm_started_nodes = integer.warm_started_nodes;
-    if (!integer.usable()) return out;
+    if (!integer.usable()) return result;
 
     double artificial_load = 0;
     for (std::size_t i = 0; i < requests.size(); ++i)
@@ -317,8 +307,7 @@ Colgen_outcome run_colgen(const topo::Topology& topo,
             artificial_load,
             integer.x[static_cast<std::size_t>(
                 master.overflow_var[static_cast<std::size_t>(link)])]);
-    out.clean = artificial_load <= kArtificialTol;
-    if (!out.clean) return out;
+    if (artificial_load > kArtificialTol) return result;
 
     double objective = 0;
     result.paths.reserve(requests.size());
@@ -345,16 +334,9 @@ Colgen_outcome run_colgen(const topo::Topology& topo,
                                                     requests[i].id,
                                                     requests[i].rate));
     }
-    // Against the true capacities the master's tolerance-zero overflows
-    // are not proof enough; re-verify the reservations exactly (the
-    // residual shard is re-checked globally by provision_sharded instead).
-    if (capacity_override == nullptr &&
-        !within_capacity(topo, result.paths)) {
-        out.clean = false;
-        out.certified = false;
-        result.paths.clear();
-        return out;
-    }
+    // The master's tolerance-zero overflows are not proof enough;
+    // re-verify the reservations exactly against the true capacities.
+    if (!within_capacity(topo, result.paths)) return result;
     detail::fill_maxima(topo, result);
     // Recompute the objective from the selected paths and maxima rather
     // than trusting integer.objective: a basic-at-zero artificial can
@@ -363,12 +345,11 @@ Colgen_outcome run_colgen(const topo::Topology& topo,
         objective += 1000.0 * result.r_max;
     else if (heuristic == Heuristic::min_max_reserved)
         objective += result.big_r_max.mbps();
-    result.feasible = true;
     result.objective = objective;
-    out.certified = converged &&
-                    objective - dual_bound <=
-                        kCertTol * (1 + std::abs(dual_bound));
-    return out;
+    result.feasible = converged &&
+                      objective - dual_bound <=
+                          kCertTol * (1 + std::abs(dual_bound));
+    return result;
 }
 
 bool all_solvable(const std::vector<Guaranteed_request>& requests) {
@@ -445,306 +426,19 @@ std::optional<Priced_path> price_request(const topo::Topology& topo,
 Provision_result provision_colgen(const topo::Topology& topo,
                                   const std::vector<Guaranteed_request>& requests,
                                   Heuristic heuristic,
-                                  const mip::Options& options,
-                                  const Colgen_options& copts) {
+                                  const mip::Options& options) {
     if (requests.empty() || !all_solvable(requests))
         return provision(topo, requests, heuristic, options);
-    const std::vector<std::vector<double>> costs =
-        detail::request_costs(requests, heuristic);
-    Colgen_outcome outcome = run_colgen(topo, requests, costs, heuristic,
-                                        options, copts, nullptr);
-    if (outcome.certified || !copts.allow_fallback) {
-        if (!outcome.clean) {
-            outcome.result.feasible = false;
-            outcome.result.diagnostic =
-                "column generation did not certify an answer";
-        }
-        return outcome.result;
-    }
+    Provision_result colgen = run_colgen(topo, requests, heuristic, options);
+    if (colgen.feasible) return colgen;
     // Certificate did not close (tight instance, pricing cycle, node
     // limit, or genuine infeasibility): the full encoding is the oracle —
     // and the only place a *proof* of infeasibility can come from.
     Provision_result full = provision(topo, requests, heuristic, options);
-    full.colgen_rounds = outcome.result.colgen_rounds;
-    full.columns_generated = outcome.result.columns_generated;
+    full.colgen_rounds = colgen.colgen_rounds;
+    full.columns_generated = colgen.columns_generated;
     full.full_fallbacks = 1;
     return full;
-}
-
-Provision_result provision_sharded(const topo::Topology& topo,
-                                   const std::vector<Guaranteed_request>& requests,
-                                   Heuristic heuristic,
-                                   const mip::Options& options, int jobs,
-                                   const Colgen_options& copts) {
-    // Only the weighted-shortest-path objective decomposes by locality;
-    // the min-max objectives couple every link and go straight to colgen.
-    if (heuristic != Heuristic::weighted_shortest_path || requests.empty() ||
-        !all_solvable(requests))
-        return provision_colgen(topo, requests, heuristic, options, copts);
-
-    const std::vector<std::vector<double>> costs =
-        detail::request_costs(requests, heuristic);
-
-    // Locality zones: drop every link whose endpoints both sit away from
-    // any host (a fat tree's aggregation<->core links), then take
-    // connected components. Pods become zones; core switches isolate.
-    std::vector<char> touches_host(
-        static_cast<std::size_t>(topo.node_count()), 0);
-    for (topo::NodeId node = 0; node < topo.node_count(); ++node) {
-        if (topo.node(node).kind == topo::Node_kind::host) {
-            touches_host[static_cast<std::size_t>(node)] = 1;
-            for (const auto& adj : topo.neighbors(node))
-                touches_host[static_cast<std::size_t>(adj.node)] = 1;
-        }
-    }
-    std::vector<int> zone(static_cast<std::size_t>(topo.node_count()), -1);
-    for (topo::NodeId start = 0; start < topo.node_count(); ++start) {
-        if (zone[static_cast<std::size_t>(start)] != -1) continue;
-        zone[static_cast<std::size_t>(start)] = start;
-        std::vector<topo::NodeId> stack{start};
-        while (!stack.empty()) {
-            const topo::NodeId at = stack.back();
-            stack.pop_back();
-            for (const auto& adj : topo.neighbors(at)) {
-                const topo::Link& link = topo.link(adj.link);
-                if (touches_host[static_cast<std::size_t>(link.a)] == 0 &&
-                    touches_host[static_cast<std::size_t>(link.b)] == 0)
-                    continue;
-                if (zone[static_cast<std::size_t>(adj.node)] == -1) {
-                    zone[static_cast<std::size_t>(adj.node)] = start;
-                    stack.push_back(adj.node);
-                }
-            }
-        }
-    }
-    const auto link_zone = [&](topo::LinkId link) {
-        const topo::Link& l = topo.link(link);
-        const int za = zone[static_cast<std::size_t>(l.a)];
-        return za == zone[static_cast<std::size_t>(l.b)] ? za : -1;
-    };
-
-    // Assign each request to the zone holding its unconstrained shortest
-    // path; paths that change zones (or have no path at all) go to the
-    // cross-zone residual shard.
-    std::vector<std::vector<int>> seed(requests.size());
-    std::vector<double> lower_bound(requests.size(), 0.0);
-    std::vector<int> request_zone(requests.size(), -1);
-    bool unreachable = false;
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-        auto path = shortest_path_edges(topo, requests[i].logical, costs[i]);
-        if (!path.has_value()) {
-            unreachable = true;
-            break;
-        }
-        seed[i] = std::move(*path);
-        lower_bound[i] = path_cost(seed[i], costs[i]);
-        int z = -2;  // -2 = no link seen yet, -1 = spans zones
-        for (int e : seed[i]) {
-            const topo::LinkId link =
-                requests[i].logical.edges[static_cast<std::size_t>(e)].link;
-            if (link == topo::kNoLink) continue;
-            const int lz = link_zone(link);
-            if (lz == -1 || (z != -2 && z != lz)) {
-                z = -1;
-                break;
-            }
-            z = lz;
-        }
-        request_zone[i] = z == -2 ? -1 : z;
-    }
-    const auto fallback_global = [&](int shards_attempted) {
-        Provision_result global =
-            provision_colgen(topo, requests, heuristic, options, copts);
-        global.shards_used = shards_attempted;
-        return global;
-    };
-    if (unreachable) return fallback_global(0);
-
-    std::map<int, std::vector<std::size_t>> zones;  // zone -> request idx
-    std::vector<std::size_t> residual;
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-        if (request_zone[i] >= 0)
-            zones[request_zone[i]].push_back(i);
-        else
-            residual.push_back(i);
-    }
-    std::vector<std::vector<std::size_t>> shards;
-    shards.reserve(zones.size());
-    for (auto& [z, members] : zones) shards.push_back(std::move(members));
-    const int shard_count = static_cast<int>(shards.size());
-
-    // One MIP per zone, solved concurrently: the zone's requests over the
-    // shared per-edge costs, edges leaving the zone pinned to zero, and
-    // capacity rows for the zone's links only. Results land in per-shard
-    // slots, so output is identical at any thread count.
-    struct Shard_result {
-        bool ok = false;
-        mip::Solution solution;
-        std::vector<std::vector<int>> edge_vars;  // local request, edge
-        int variables = 0;
-        int constraints = 0;
-    };
-    std::vector<Shard_result> solved(shards.size());
-    util::Thread_pool pool(util::resolve_jobs(jobs));
-    pool.parallel_for(shard_count, [&](int s) {
-        const std::vector<std::size_t>& members =
-            shards[static_cast<std::size_t>(s)];
-        const int shard_zone = request_zone[members.front()];
-        Shard_result& slot = solved[static_cast<std::size_t>(s)];
-        mip::Problem problem;
-        slot.edge_vars.resize(members.size());
-        for (std::size_t r = 0; r < members.size(); ++r) {
-            const std::size_t i = members[r];
-            const auto& logical = requests[i].logical;
-            slot.edge_vars[r].reserve(
-                static_cast<std::size_t>(logical.graph.edge_count()));
-            for (int e = 0; e < logical.graph.edge_count(); ++e) {
-                const int var = problem.add_binary(
-                    costs[i][static_cast<std::size_t>(e)]);
-                const Logical_edge& edge =
-                    logical.edges[static_cast<std::size_t>(e)];
-                if (edge.link != topo::kNoLink &&
-                    (!topo.link_up(edge.link) ||
-                     link_zone(edge.link) != shard_zone))
-                    problem.set_bounds(var, 0.0, 0.0);
-                slot.edge_vars[r].push_back(var);
-            }
-        }
-        for (std::size_t r = 0; r < members.size(); ++r) {
-            const std::size_t i = members[r];
-            const auto& logical = requests[i].logical;
-            for (graph::Vertex v = 0; v < logical.graph.vertex_count(); ++v) {
-                std::vector<std::pair<int, double>> coeffs;
-                for (graph::Edge e : logical.graph.out_edges(v))
-                    coeffs.emplace_back(
-                        slot.edge_vars[r][static_cast<std::size_t>(e)], 1.0);
-                for (graph::Edge e : logical.graph.in_edges(v))
-                    coeffs.emplace_back(
-                        slot.edge_vars[r][static_cast<std::size_t>(e)], -1.0);
-                const double rhs = v == logical.source
-                                       ? 1.0
-                                       : (v == logical.sink ? -1.0 : 0.0);
-                problem.add_constraint(lp::Sense::equal, rhs,
-                                       std::move(coeffs));
-            }
-        }
-        for (topo::LinkId link = 0; link < topo.link_count(); ++link) {
-            if (link_zone(link) != shard_zone) continue;
-            const double capacity = topo.link(link).capacity.mbps();
-            const int r_uv = problem.add_continuous(0.0, 0.0, 1.0);
-            std::vector<std::pair<int, double>> coeffs{{r_uv, capacity}};
-            for (std::size_t r = 0; r < members.size(); ++r) {
-                const std::size_t i = members[r];
-                const double rate = requests[i].rate.mbps();
-                if (rate == 0) continue;
-                const auto& logical = requests[i].logical;
-                for (int e = 0; e < logical.graph.edge_count(); ++e)
-                    if (logical.edges[static_cast<std::size_t>(e)].link ==
-                        link)
-                        coeffs.emplace_back(
-                            slot.edge_vars[r][static_cast<std::size_t>(e)],
-                            -rate);
-            }
-            problem.add_constraint(lp::Sense::equal, 0.0, std::move(coeffs));
-        }
-        slot.variables = problem.variable_count();
-        slot.constraints = problem.relaxation().constraint_count();
-        slot.solution = mip::solve(problem, options);
-        slot.ok = slot.solution.usable();
-    });
-
-    Provision_result result;
-    result.solver = "sharded";
-    result.shards_used = shard_count;
-    for (const Shard_result& slot : solved)
-        if (!slot.ok) return fallback_global(shard_count);
-
-    // Decode shard paths and account their reservations, so the residual
-    // shard sees only the capacity the zones left behind.
-    std::vector<Provisioned_path> paths(requests.size());
-    double objective = 0;
-    for (std::size_t s = 0; s < shards.size(); ++s) {
-        const Shard_result& slot = solved[s];
-        result.variables += slot.variables;
-        result.constraints += slot.constraints;
-        result.mip_nodes += slot.solution.nodes_explored;
-        result.simplex_iterations += slot.solution.simplex_iterations;
-        result.lp_factorizations += slot.solution.lp_factorizations;
-        result.warm_started_nodes += slot.solution.warm_started_nodes;
-        objective += slot.solution.objective;
-        for (std::size_t r = 0; r < shards[s].size(); ++r) {
-            const std::size_t i = shards[s][r];
-            const auto& logical = requests[i].logical;
-            std::vector<bool> used(
-                static_cast<std::size_t>(logical.graph.edge_count()), false);
-            for (int e = 0; e < logical.graph.edge_count(); ++e)
-                used[static_cast<std::size_t>(e)] =
-                    slot.solution.x[static_cast<std::size_t>(
-                        slot.edge_vars[r][static_cast<std::size_t>(e)])] >
-                    0.5;
-            paths[i] = detail::extract_path(logical, std::move(used),
-                                            requests[i].id,
-                                            requests[i].rate);
-        }
-    }
-
-    if (!residual.empty()) {
-        std::vector<double> residual_capacity(
-            static_cast<std::size_t>(topo.link_count()));
-        for (topo::LinkId link = 0; link < topo.link_count(); ++link)
-            residual_capacity[static_cast<std::size_t>(link)] =
-                topo.link(link).capacity.mbps();
-        for (std::size_t i = 0; i < requests.size(); ++i) {
-            if (request_zone[i] < 0) continue;
-            const double rate = requests[i].rate.mbps();
-            if (rate == 0) continue;
-            for (topo::LinkId link : paths[i].links)
-                residual_capacity[static_cast<std::size_t>(link)] =
-                    std::max(0.0, residual_capacity[static_cast<std::size_t>(
-                                      link)] -
-                                      rate);
-        }
-        std::vector<Guaranteed_request> residual_requests;
-        std::vector<std::vector<double>> residual_costs;
-        residual_requests.reserve(residual.size());
-        residual_costs.reserve(residual.size());
-        for (std::size_t i : residual) {
-            residual_requests.push_back(requests[i]);
-            residual_costs.push_back(costs[i]);
-        }
-        Colgen_options residual_opts = copts;
-        residual_opts.pricing = true;
-        Colgen_outcome cross =
-            run_colgen(topo, residual_requests, residual_costs, heuristic,
-                       options, residual_opts, &residual_capacity);
-        if (!cross.clean) return fallback_global(shard_count);
-        result.variables += cross.result.variables;
-        result.constraints += cross.result.constraints;
-        result.mip_nodes += cross.result.mip_nodes;
-        result.simplex_iterations += cross.result.simplex_iterations;
-        result.lp_factorizations += cross.result.lp_factorizations;
-        result.warm_started_nodes += cross.result.warm_started_nodes;
-        result.colgen_rounds = cross.result.colgen_rounds;
-        result.columns_generated = cross.result.columns_generated;
-        objective += cross.result.objective;
-        for (std::size_t r = 0; r < residual.size(); ++r)
-            paths[residual[r]] = cross.result.paths[r];
-    }
-
-    // The sharding certificate: every request priced at its unconstrained
-    // shortest path, so no global coordination could have done better.
-    double bound = 0;
-    for (double lb : lower_bound) bound += lb;
-    result.lp_bound = bound;
-    if (objective - bound > kCertTol * (1 + std::abs(bound)) ||
-        !within_capacity(topo, paths))
-        return fallback_global(shard_count);
-
-    result.feasible = true;
-    result.objective = objective;
-    result.paths = std::move(paths);
-    detail::fill_maxima(topo, result);
-    return result;
 }
 
 }  // namespace merlin::core

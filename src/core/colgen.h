@@ -1,5 +1,5 @@
-// Path-based column generation and sharded parallel provisioning — the
-// scalable alternatives to the monolithic MIP of provision.h.
+// Path-based column generation — the scalable alternative to the
+// monolithic MIP of provision.h.
 //
 // The full encoding carries one binary per (request, logical edge); on a
 // fat-tree k=8 all-pairs policy that is millions of variables before the
@@ -23,9 +23,9 @@
 // artificial columns are at zero and the integer objective is within
 // kCertTol of the converged dual bound; otherwise the full encoding is
 // re-solved (counted in Provision_result::full_fallbacks). Infeasibility is
-// therefore only ever *proved* by the full encoding, and accepted colgen /
-// sharded answers match the full optimum by construction — the property
-// the testgen cross-oracle checks on every fuzz iteration.
+// therefore only ever *proved* by the full encoding, and accepted colgen
+// answers match the full optimum by construction — the property the
+// testgen cross-oracle checks on every fuzz iteration.
 #pragma once
 
 #include <optional>
@@ -34,18 +34,6 @@
 #include "core/provision.h"
 
 namespace merlin::core {
-
-// Knobs for the ablation bench; engine/compiler paths use the defaults.
-struct Colgen_options {
-    // Pricing off = solve the master over the seed columns only (the
-    // per-request unconstrained shortest paths). Never certifies; only
-    // meaningful together with allow_fallback = false.
-    bool pricing = true;
-    // Uncertified answers re-solve with the full encoding unless disabled.
-    bool allow_fallback = true;
-    int max_rounds = 200;
-    double pricing_tol = 1e-6;
-};
 
 // Relative tolerance of the optimality certificate (integer objective vs
 // converged dual bound). The cross-oracle compares objectives across modes
@@ -77,23 +65,6 @@ struct Priced_path {
 [[nodiscard]] Provision_result provision_colgen(
     const topo::Topology& topo, const std::vector<Guaranteed_request>& requests,
     Heuristic heuristic = Heuristic::weighted_shortest_path,
-    const mip::Options& options = {}, const Colgen_options& copts = {});
-
-// Sharded provisioning: partitions the topology into locality zones (the
-// connected components left after removing core links between hostless
-// switches — pods, in a fat tree), solves each zone's requests as an
-// independent MIP on `jobs` threads with the shared per-edge costs, then
-// provisions the cross-zone residual by column generation on the remaining
-// link capacities. Accepted only when every request achieved its
-// unconstrained shortest path (the certificate that sharding lost
-// nothing); otherwise falls back to global column generation. Only the
-// weighted-shortest-path objective decomposes; the min-max heuristics
-// delegate to provision_colgen directly. Output is bit-identical at any
-// thread count.
-[[nodiscard]] Provision_result provision_sharded(
-    const topo::Topology& topo, const std::vector<Guaranteed_request>& requests,
-    Heuristic heuristic = Heuristic::weighted_shortest_path,
-    const mip::Options& options = {}, int jobs = 0,
-    const Colgen_options& copts = {});
+    const mip::Options& options = {});
 
 }  // namespace merlin::core

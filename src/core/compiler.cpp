@@ -8,7 +8,6 @@ const char* to_string(Solver_mode mode) {
     switch (mode) {
         case Solver_mode::full: return "full";
         case Solver_mode::colgen: return "colgen";
-        case Solver_mode::sharded: return "sharded";
     }
     return "?";
 }

@@ -38,15 +38,14 @@ enum class Solver {
     auto_select,
 };
 
-// How the exact (MIP) solver attacks the provisioning problem. All three
-// modes minimize the same jittered objective; colgen and sharded carry an
-// optimality certificate and silently re-solve with the full encoding
-// whenever it does not close, so results are mode-independent up to the
-// certificate tolerance.
+// How the exact (MIP) solver attacks the provisioning problem. Both modes
+// minimize the same jittered objective; colgen carries an optimality
+// certificate and silently re-solves with the full encoding whenever it
+// does not close, so results are mode-independent up to the certificate
+// tolerance.
 enum class Solver_mode {
-    full,     // one monolithic MIP over every logical edge (the default)
-    colgen,   // path-based column generation (restricted master + pricing)
-    sharded,  // per-pod shards in parallel + a cross-shard residual
+    full,    // one monolithic MIP over every logical edge (the default)
+    colgen,  // path-based column generation (restricted master + pricing)
 };
 
 [[nodiscard]] const char* to_string(Solver_mode mode);

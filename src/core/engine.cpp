@@ -394,21 +394,17 @@ bool Engine::solve_provisioning(bool try_warm) {
         if (!r.logical.solvable()) return false;  // publish() reports it
 
     bool warm_used = false;
-    if (mip_selected() && options_.solver_mode != Solver_mode::full) {
-        // Column generation / sharding re-derive their columns from the
-        // current requests on every solve and carry an optimality
-        // certificate (with a full-encoding fallback), so they keep no
-        // cross-delta solver state: engine-after-deltas stays bit-equal to
-        // a batch compile by construction. The skeleton/basis fast paths
-        // stay dormant (skeleton_valid_ false) under these modes.
+    if (mip_selected() && options_.solver_mode == Solver_mode::colgen) {
+        // Column generation re-derives its columns from the current
+        // requests on every solve and carries an optimality certificate
+        // (with a full-encoding fallback), so it keeps no cross-delta solver
+        // state: engine-after-deltas stays bit-equal to a batch compile by
+        // construction. The skeleton/basis fast paths stay dormant
+        // (skeleton_valid_ false) under this mode.
         skeleton_valid_ = false;
         basis_ = {};
-        provision_ =
-            options_.solver_mode == Solver_mode::colgen
-                ? provision_colgen(topo_, requests_, options_.heuristic,
-                                   options_.mip)
-                : provision_sharded(topo_, requests_, options_.heuristic,
-                                    options_.mip, options_.jobs);
+        provision_ = provision_colgen(topo_, requests_, options_.heuristic,
+                                      options_.mip);
     } else if (mip_selected()) {
         if (!skeleton_valid_) {
             skeleton_ =

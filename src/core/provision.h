@@ -62,7 +62,7 @@ struct Provision_result {
     // True only when infeasibility was *proved* (exact solver); the greedy
     // provisioner can fail on feasible instances.
     bool proven_infeasible = false;
-    const char* solver = "none";  // "mip" or "greedy"
+    const char* solver = "none";  // "mip", "colgen" or "greedy"
     std::string diagnostic;       // reason when feasible == false
     std::vector<Provisioned_path> paths;
     double r_max = 0;     // max fraction of any link reserved
@@ -77,16 +77,15 @@ struct Provision_result {
     int warm_started_nodes = 0;
     // Heuristic objective value of the selected solution (0 when
     // infeasible or solved greedily). All solver modes minimize the same
-    // function, so values are directly comparable across full / colgen /
-    // sharded runs.
+    // function, so values are directly comparable across full and colgen
+    // runs.
     double objective = 0;
-    // Column-generation / sharding work counters (zero outside those
-    // modes). `lp_bound` is the column-generation dual bound — equal to
-    // the full encoding's LP relaxation optimum once pricing converges.
+    // Column-generation work counters (zero outside that mode). `lp_bound`
+    // is the column-generation dual bound — equal to the full encoding's
+    // LP relaxation optimum once pricing converges.
     double lp_bound = 0;
     int colgen_rounds = 0;
     int columns_generated = 0;
-    int shards_used = 0;
     // Number of times a certified mode had to re-solve with the full
     // encoding because its optimality certificate did not close.
     int full_fallbacks = 0;
@@ -156,8 +155,8 @@ void patch_request_rate(Mip_encoding& encoding,
     const topo::Topology& topo, const std::vector<Guaranteed_request>& requests,
     Heuristic heuristic = Heuristic::weighted_shortest_path);
 
-// Shared helpers between the full encoder and the column-generation /
-// sharded solvers (src/core/colgen.cpp).
+// Shared helpers between the full encoder and the column-generation
+// solver (src/core/colgen.cpp).
 namespace detail {
 
 // The effective objective cost of every (request, logical-edge) binary,

@@ -829,38 +829,31 @@ std::optional<std::string> check_solvers(
         return fail("greedy solution", *d);
     if (auto d = check_capacity(topo, exact)) return fail("MIP solution", *d);
 
-    // Column generation and sharded provisioning are certified-or-fallback:
-    // on every instance they must reach the full encoding's verdict — the
-    // same proven infeasibility, or a feasible capacity-clean answer whose
-    // objective matches within the jitter tolerance (strictly wider than
-    // the colgen certificate, so certified answers pass by construction).
-    // Skip when the exact solve was node-limit truncated: its incumbent is
+    // Column generation is certified-or-fallback: on every instance it
+    // must reach the full encoding's verdict — the same proven
+    // infeasibility, or a feasible capacity-clean answer whose objective
+    // matches within the jitter tolerance (strictly wider than the colgen
+    // certificate, so certified answers pass by construction). Skip when
+    // the exact solve was node-limit truncated: its incumbent is
     // exploration-order dependent and not a comparison anchor.
     if (exact.mip_nodes < options.mip.max_nodes) {
         const core::Provision_result colgen = core::provision_colgen(
             topo, requests, options.heuristic, options.mip);
-        const core::Provision_result sharded = core::provision_sharded(
-            topo, requests, options.heuristic, options.mip, options.jobs);
-        const std::pair<const char*, const core::Provision_result*> alts[] = {
-            {"colgen", &colgen}, {"sharded", &sharded}};
-        for (const auto& [name, alt] : alts) {
-            if (exact.proven_infeasible) {
-                if (alt->feasible)
-                    return fail(name,
-                                "found a witness on a MIP-proven-infeasible "
-                                "instance");
-                continue;
-            }
-            if (!exact.feasible) continue;  // truncated elsewhere: no anchor
-            if (!alt->feasible)
-                return fail(name, "infeasible where the full encoding found "
-                                  "an optimum");
-            if (auto d = check_capacity(topo, *alt))
-                return fail(std::string(name) + " solution", *d);
+        if (exact.proven_infeasible) {
+            if (colgen.feasible)
+                return fail("colgen",
+                            "found a witness on a MIP-proven-infeasible "
+                            "instance");
+        } else if (exact.feasible) {  // else truncated elsewhere: no anchor
+            if (!colgen.feasible)
+                return fail("colgen", "infeasible where the full encoding "
+                                      "found an optimum");
+            if (auto d = check_capacity(topo, colgen))
+                return fail("colgen solution", *d);
             const double tol = 1e-4 * (1 + std::abs(exact.objective));
-            if (std::abs(alt->objective - exact.objective) > tol)
-                return fail(name,
-                            "objective " + std::to_string(alt->objective) +
+            if (std::abs(colgen.objective - exact.objective) > tol)
+                return fail("colgen",
+                            "objective " + std::to_string(colgen.objective) +
                                 " vs full " +
                                 std::to_string(exact.objective));
         }

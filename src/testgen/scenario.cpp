@@ -333,12 +333,12 @@ Scenario random_scenario(const Gen_options& options, std::uint64_t seed) {
             s < 6 ? core::Solver::auto_select
                   : (s < 8 ? core::Solver::mip : core::Solver::greedy);
         // The solver mode only steers exact (MIP) solves; drawing it for
-        // greedy scenarios too is harmless and keeps the stream simple.
+        // greedy scenarios too is harmless and keeps the stream simple. The
+        // draw spans 0..9 like its neighbours: narrowing it would shift
+        // every later field of every existing seed.
         const std::int64_t m = rng.uniform(0, 9);
         scenario.options.solver_mode =
-            m < 6 ? core::Solver_mode::full
-                  : (m < 8 ? core::Solver_mode::colgen
-                           : core::Solver_mode::sharded);
+            m < 6 ? core::Solver_mode::full : core::Solver_mode::colgen;
     }
 
     topo::Topology t = make_topology(scenario);
@@ -654,9 +654,6 @@ Scenario parse_scenario(const std::string& text) {
                     else if (value == "colgen")
                         scenario.options.solver_mode =
                             core::Solver_mode::colgen;
-                    else if (value == "sharded")
-                        scenario.options.solver_mode =
-                            core::Solver_mode::sharded;
                     else
                         throw Error("unknown solver mode: " + value);
                 } else if (key == "heuristic") {

@@ -9,11 +9,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/logical.h"
 #include "lp/simplex.h"
 #include "parser/parser.h"
+#include "topo/generators.h"
 #include "topo/parse.h"
 
 namespace merlin::core {
@@ -34,21 +36,43 @@ link b1 h2 100MB/s
 )");
 }
 
-std::vector<Guaranteed_request> make_requests(const topo::Topology& t, int n,
-                                              Bandwidth rate) {
+// One `.*` request per (source, sink) pair, all at `rate`.
+std::vector<Guaranteed_request> make_requests(
+    const topo::Topology& t,
+    const std::vector<std::pair<topo::NodeId, topo::NodeId>>& pairs,
+    Bandwidth rate) {
     const automata::Alphabet alphabet = make_alphabet(t);
     auto nfa = automata::remove_epsilon(
         automata::thompson(parser::parse_path(".*"), alphabet));
     nfa = automata::to_nfa(automata::minimize(automata::determinize(nfa)));
     std::vector<Guaranteed_request> out;
-    for (int i = 0; i < n; ++i) {
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
         Guaranteed_request r;
         r.id = "g" + std::to_string(i);
         r.rate = rate;
-        r.logical = build_logical(t, nfa, t.require("h1"), t.require("h2"));
+        r.logical = build_logical(t, nfa, pairs[i].first, pairs[i].second);
         out.push_back(std::move(r));
     }
     return out;
+}
+
+// n requests h1 -> h2 on two_paths().
+std::vector<Guaranteed_request> make_requests(const topo::Topology& t, int n,
+                                              Bandwidth rate) {
+    return make_requests(
+        t, {static_cast<std::size_t>(n), {t.require("h1"), t.require("h2")}},
+        rate);
+}
+
+// A fat tree k=4 mix of intra-pod and cross-pod requests at 2MB/s.
+std::vector<Guaranteed_request> fat_tree_requests(const topo::Topology& t) {
+    const auto hosts = t.hosts();
+    std::vector<std::pair<topo::NodeId, topo::NodeId>> pairs;
+    for (const auto& [a, b] : std::vector<std::pair<int, int>>{
+             {0, 1}, {2, 3}, {0, 5}, {7, 2}, {4, 6}, {1, 3}})
+        pairs.emplace_back(hosts[static_cast<std::size_t>(a)],
+                           hosts[static_cast<std::size_t>(b)]);
+    return make_requests(t, pairs, mb_per_sec(2));
 }
 
 // Every simple s~>t path through the product graph, by DFS.
@@ -202,13 +226,13 @@ TEST(Colgen, MinMaxGapForcesFallbackOnlyWhereItExists) {
     }
 }
 
-TEST(Colgen, MatchesFullObjectiveAcrossHeuristics) {
-    const topo::Topology t = two_paths();
-    // 5 x 40MB/s does not fit one route: forces a split across both.
+// Objective parity with the full encoding under every heuristic, and
+// capacity discipline, exactly, in bps.
+void expect_matches_full(const topo::Topology& t,
+                         const std::vector<Guaranteed_request>& requests) {
     for (const Heuristic h : {Heuristic::weighted_shortest_path,
                               Heuristic::min_max_ratio,
                               Heuristic::min_max_reserved}) {
-        const auto requests = make_requests(t, 5, mb_per_sec(40));
         const Provision_result full = provision(t, requests, h);
         const Provision_result cg = provision_colgen(t, requests, h);
         ASSERT_TRUE(full.feasible) << to_string(h);
@@ -216,7 +240,6 @@ TEST(Colgen, MatchesFullObjectiveAcrossHeuristics) {
         EXPECT_NEAR(cg.objective, full.objective,
                     1e-4 * (1 + std::abs(full.objective)))
             << to_string(h);
-        // Capacity discipline, exactly, in bps.
         std::vector<std::uint64_t> reserved(
             static_cast<std::size_t>(t.link_count()), 0);
         for (const auto& p : cg.paths)
@@ -226,6 +249,16 @@ TEST(Colgen, MatchesFullObjectiveAcrossHeuristics) {
             EXPECT_LE(reserved[static_cast<std::size_t>(l)],
                       t.link(l).capacity.bps());
     }
+}
+
+TEST(Colgen, MatchesFullObjectiveAcrossHeuristics) {
+    // 5 x 40MB/s does not fit one two_paths route: forces a split across
+    // both.
+    const topo::Topology paths = two_paths();
+    expect_matches_full(paths, make_requests(paths, 5, mb_per_sec(40)));
+    // The fat tree mixes requests within a pod and across the core.
+    const topo::Topology fat = topo::fat_tree(4);
+    expect_matches_full(fat, fat_tree_requests(fat));
 }
 
 TEST(Colgen, ReportsTheSameInfeasibility) {
@@ -239,24 +272,6 @@ TEST(Colgen, ReportsTheSameInfeasibility) {
     // The proof always comes from the full-encoding fallback.
     EXPECT_TRUE(cg.proven_infeasible);
     EXPECT_EQ(cg.full_fallbacks, 1);
-}
-
-TEST(Colgen, PricingAblationSolvesOverSeedColumnsOnly) {
-    const topo::Topology t = two_paths();
-    const auto requests = make_requests(t, 2, mb_per_sec(50));
-    Colgen_options copts;
-    copts.pricing = false;
-    copts.allow_fallback = false;
-    const Provision_result seeded =
-        provision_colgen(t, requests, Heuristic::weighted_shortest_path, {},
-                         copts);
-    ASSERT_TRUE(seeded.feasible);
-    EXPECT_EQ(seeded.columns_generated, static_cast<int>(requests.size()));
-    // On an uncongested instance the seed shortest paths are optimal, so
-    // the ablated solve still lands on the full optimum.
-    const Provision_result full = provision(t, requests);
-    EXPECT_NEAR(seeded.objective, full.objective,
-                1e-6 * (1 + std::abs(full.objective)));
 }
 
 }  // namespace

@@ -301,58 +301,55 @@ TEST(Engine, DeltaSequenceStaysEquivalentToBatchCompile) {
     expect_matches_fresh_compile(engine, options);
 }
 
-// Column-generation and sharded modes keep no cross-delta solver state (no
-// skeleton, no warm basis): every delta re-derives its columns, so the
-// engine after any replayed sequence is bit-equal to a batch compile with
-// the same options.
-TEST(Engine, ColgenAndShardedModeDeltaReplayStaysBitEqualToBatch) {
+// Column-generation mode keeps no cross-delta solver state (no skeleton,
+// no warm basis): every delta re-derives its columns, so the engine after
+// any replayed sequence is bit-equal to a batch compile with the same
+// options.
+TEST(Engine, ColgenModeDeltaReplayStaysBitEqualToBatch) {
     const topo::Topology t = topo::fat_tree(4);
     const core::Addressing addressing(t);
     const auto hosts = t.hosts();
-    for (const core::Solver_mode mode :
-         {core::Solver_mode::colgen, core::Solver_mode::sharded}) {
-        core::Compile_options options = mip_options();
-        options.solver_mode = mode;
-        options.check_disjoint = false;  // `extra` overlaps an all-pairs class
-        const ir::Policy p = bench::all_pairs_policy(t, 4, mb_per_sec(1));
-        Engine engine(p, t, options);
-        ASSERT_TRUE(engine.current().feasible) << core::to_string(mode);
-        expect_matches_fresh_compile(engine, options);
+    core::Compile_options options = mip_options();
+    options.solver_mode = core::Solver_mode::colgen;
+    options.check_disjoint = false;  // `extra` overlaps an all-pairs class
+    const ir::Policy p = bench::all_pairs_policy(t, 4, mb_per_sec(1));
+    Engine engine(p, t, options);
+    ASSERT_TRUE(engine.current().feasible);
+    expect_matches_fresh_compile(engine, options);
 
-        // Rate change.
-        ASSERT_TRUE(engine.set_bandwidth("t0", mb_per_sec(2)).feasible);
-        expect_matches_fresh_compile(engine, options);
+    // Rate change.
+    ASSERT_TRUE(engine.set_bandwidth("t0", mb_per_sec(2)).feasible);
+    expect_matches_fresh_compile(engine, options);
 
-        // New guaranteed statement.
-        ir::Statement fresh;
-        fresh.id = "extra";
-        fresh.predicate = ir::pred_and(
-            addressing.pair_predicate(hosts[0], hosts[3]),
-            ir::pred_test("tcp.dst", 22));
-        fresh.path = ir::path_any_star();
-        ASSERT_TRUE(engine.add_statement(fresh, mb_per_sec(2)).feasible);
-        expect_matches_fresh_compile(engine, options);
+    // New guaranteed statement.
+    ir::Statement fresh;
+    fresh.id = "extra";
+    fresh.predicate = ir::pred_and(
+        addressing.pair_predicate(hosts[0], hosts[3]),
+        ir::pred_test("tcp.dst", 22));
+    fresh.path = ir::path_any_star();
+    ASSERT_TRUE(engine.add_statement(fresh, mb_per_sec(2)).feasible);
+    expect_matches_fresh_compile(engine, options);
 
-        // Link failure and repair on a core (switch-switch) link.
-        topo::LinkId core_link = topo::kNoLink;
-        for (topo::LinkId l = 0; l < t.link_count(); ++l) {
-            const topo::Link& link = t.link(l);
-            if (t.node(link.a).kind != topo::Node_kind::host &&
-                t.node(link.b).kind != topo::Node_kind::host) {
-                core_link = l;
-                break;
-            }
+    // Link failure and repair on a core (switch-switch) link.
+    topo::LinkId core_link = topo::kNoLink;
+    for (topo::LinkId l = 0; l < t.link_count(); ++l) {
+        const topo::Link& link = t.link(l);
+        if (t.node(link.a).kind != topo::Node_kind::host &&
+            t.node(link.b).kind != topo::Node_kind::host) {
+            core_link = l;
+            break;
         }
-        ASSERT_NE(core_link, topo::kNoLink);
-        ASSERT_TRUE(engine.fail_link(core_link).feasible);
-        expect_matches_fresh_compile(engine, options);
-        ASSERT_TRUE(engine.restore_link(core_link).feasible);
-        expect_matches_fresh_compile(engine, options);
-
-        // Removal.
-        ASSERT_TRUE(engine.remove_statement("extra").feasible);
-        expect_matches_fresh_compile(engine, options);
     }
+    ASSERT_NE(core_link, topo::kNoLink);
+    ASSERT_TRUE(engine.fail_link(core_link).feasible);
+    expect_matches_fresh_compile(engine, options);
+    ASSERT_TRUE(engine.restore_link(core_link).feasible);
+    expect_matches_fresh_compile(engine, options);
+
+    // Removal.
+    ASSERT_TRUE(engine.remove_statement("extra").feasible);
+    expect_matches_fresh_compile(engine, options);
 }
 
 TEST(Engine, FailLinkReroutesWithBoundPatchesOnly) {

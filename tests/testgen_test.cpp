@@ -102,6 +102,19 @@ TEST(Repro, RejectsMalformedInput) {
                  Error);
 }
 
+// An unknown solver mode, such as `sharded` in older repro files, fails
+// loudly rather than silently running another mode.
+TEST(Repro, RejectsShardedSolverMode) {
+    try {
+        (void)testgen::parse_scenario(
+            "merlin-fuzz repro v1\ntopology fat-tree:2\n"
+            "options solver=mip mode=sharded\n");
+        FAIL() << "mode=sharded parsed";
+    } catch (const Error& e) {
+        EXPECT_STREQ(e.what(), "unknown solver mode: sharded");
+    }
+}
+
 // ------------------------------------------------------------------- oracles
 
 TEST(Oracles, PassOnAHandWrittenScenario) {

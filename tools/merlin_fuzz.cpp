@@ -30,9 +30,9 @@
 //   --inject-bug <name>    deliberately corrupt a delta path to validate the
 //                          harness: rate-skew | drop-restore
 //   --rotate-solver        override the drawn solver: iteration i runs the
-//                          exact solver in mode {full, colgen, sharded}[i%3],
-//                          so a sweep exercises every provisioning attack
-//                          plan (and the solver cross-oracle checks each
+//                          exact solver in mode {full, colgen}[i%2], so a
+//                          sweep exercises both provisioning attack plans
+//                          (and the solver cross-oracle checks colgen
 //                          against the full encoding)
 //   --no-shrink            write the unshrunk failing scenario
 //   --no-solver-oracles    skip the end-of-scenario solver cross-checks
@@ -233,11 +233,9 @@ int main(int argc, char** argv) {
                 // Pin the exact solver so the rotated mode actually runs
                 // (greedy ignores solver_mode entirely).
                 scenario.options.solver = merlin::core::Solver::mip;
-                static const merlin::core::Solver_mode kModes[] = {
-                    merlin::core::Solver_mode::full,
-                    merlin::core::Solver_mode::colgen,
-                    merlin::core::Solver_mode::sharded};
-                scenario.options.solver_mode = kModes[i % 3];
+                scenario.options.solver_mode =
+                    i % 2 == 0 ? merlin::core::Solver_mode::full
+                               : merlin::core::Solver_mode::colgen;
             }
             if (daemon_faults > 0) {
                 // A separate stream (decorrelated from the generator's) so

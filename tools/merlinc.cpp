@@ -10,11 +10,12 @@
 //                               (the grammar of topo::from_spec, shared
 //                               with merlin-fuzz)
 //   --heuristic wsp|mmr|mmres   path-selection heuristic (default wsp)
-//   --solver mip|greedy|auto|colgen|sharded
+//   --solver mip|greedy|auto|colgen
 //                               provisioning solver (default auto); colgen
-//                               and sharded select the exact solver with
-//                               the column-generation / sharded-parallel
-//                               attack plan (both certified-or-fallback)
+//                               selects the exact solver with the
+//                               column-generation attack plan
+//                               (certified-or-fallback); the last --solver
+//                               given wins
 //   --jobs <n>                  front-end worker threads (default: the
 //                               MERLIN_THREADS env var, then all cores)
 //   --programs                  also print per-host interpreter programs
@@ -81,7 +82,7 @@ int usage() {
         << "usage: merlinc <topology-file> <policy-file>\n"
            "       merlinc --generate <spec> <policy-file>\n"
            "       [--heuristic wsp|mmr|mmres]\n"
-           "       [--solver mip|greedy|auto|colgen|sharded]\n"
+           "       [--solver mip|greedy|auto|colgen]\n"
            "       [--jobs <n>] [--updates <file>] [--emit-diffs]\n"
            "       [--diff-json <file>] [--lint] [--lint-json] [--verify]\n"
            "       [--programs] [--stats] [--quiet]\n"
@@ -262,6 +263,7 @@ int main(int argc, char** argv) {
                 return usage();
         } else if (arg == "--solver" && i + 1 < argc) {
             const std::string s = argv[++i];
+            options.solver_mode = core::Solver_mode::full;
             if (s == "mip")
                 options.solver = core::Solver::mip;
             else if (s == "greedy")
@@ -271,9 +273,6 @@ int main(int argc, char** argv) {
             else if (s == "colgen") {
                 options.solver = core::Solver::mip;
                 options.solver_mode = core::Solver_mode::colgen;
-            } else if (s == "sharded") {
-                options.solver = core::Solver::mip;
-                options.solver_mode = core::Solver_mode::sharded;
             } else
                 return usage();
         } else if (arg == "--jobs" && i + 1 < argc) {
@@ -361,7 +360,6 @@ int main(int argc, char** argv) {
                               << " lp_bound=" << pr.lp_bound
                               << " rounds=" << pr.colgen_rounds
                               << " columns=" << pr.columns_generated
-                              << " shards=" << pr.shards_used
                               << " full_fallbacks=" << pr.full_fallbacks
                               << '\n';
                 }

@@ -9,19 +9,18 @@
 #     build), skipped with a notice when the binary is not installed;
 #   - an ASan/UBSan leg over the solver-path and long-lived-state suites
 #     (lp, mip, core — which includes the incremental engine and the
-#     colgen/sharded solver-mode suites — plus negotiator and netsim, the
+#     colgen solver-mode suite — plus negotiator and netsim, the
 #     layers that now hold or drive persistent engine state, and the
 #     pred/bdd suites covering the shared predicate DAG and the bounded
 #     apply cache);
-#   - a ThreadSanitizer leg over the compiler/engine/sinktree/automata
-#     suites plus sharded_test (MERLIN_THREADS forces a multi-threaded
-#     front-end), race-checking the parallel compilation fan-out, the
-#     engine's parallel cache fills, and the sharded provisioner's
-#     thread-pool fan-out on every run;
+#   - a ThreadSanitizer leg over the compiler/engine/sinktree/automata,
+#     thread-pool and daemon-concurrency suites (MERLIN_THREADS forces a
+#     multi-threaded front-end), race-checking the parallel compilation
+#     fan-out and the engine's parallel cache fills on every run;
 #   - a Release build of every bench_* target with one tiny bench config as
 #     a smoke check, refreshing the tracked perf datapoints
-#     BENCH_solver.json (per solver mode — full/colgen/sharded — wall-clock,
-#     simplex iterations, B&B nodes, colgen rounds/columns, shard counts),
+#     BENCH_solver.json (per solver mode — full/colgen — wall-clock,
+#     simplex iterations, B&B nodes, colgen rounds/columns, fallbacks),
 #     BENCH_compile.json (front-end timing breakdown per class count),
 #     BENCH_adaptation.json (incremental engine delta latency vs full
 #     recompile, per delta kind) and BENCH_policy_scale.json (shared
@@ -40,7 +39,7 @@
 #     with the src/analysis checker) checked after every delta, plus a
 #     long-trace leg of sustained add/tune/remove churn that stresses tag
 #     recycling and a --rotate-solver sweep that runs the exact solver in
-#     every mode (full/colgen/sharded) under the solver cross-oracle. On
+#     both modes (full/colgen) under the solver cross-oracle. On
 #     failure the shrunk repro is archived at FUZZ_repro.txt
 #     (replay with `merlin-fuzz --replay FUZZ_repro.txt`);
 #   - a daemon leg: a scripted merlind session (accepted deltas, a proven-
@@ -83,17 +82,17 @@ cmake --build build-asan -j "$JOBS"
 cmake -B build-tsan -S . -DMERLIN_SANITIZE=thread
 cmake --build build-tsan -j "$JOBS" \
       --target compiler_test engine_test sinktree_test automata_test \
-               thread_pool_test daemon_concurrency_test sharded_test
+               thread_pool_test daemon_concurrency_test
 (cd build-tsan && MERLIN_THREADS=4 \
     ctest --output-on-failure -j "$JOBS" \
-          -R "compiler_test|engine_test|sinktree_test|automata_test|thread_pool_test|daemon_concurrency_test|sharded_test")
+          -R "compiler_test|engine_test|sinktree_test|automata_test|thread_pool_test|daemon_concurrency_test")
 
 # --- bench smoke: Release build of every bench_* target + one tiny run ------
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release \
       -DMERLIN_BUILD_BENCHES=ON -DMERLIN_BUILD_TESTS=OFF
 cmake --build build-release -j "$JOBS"
 # The solver table runs un-tiny: the k=6/k=8 rows are the point (colgen
-# and sharded keep them provisionable) and cost ~1s end to end.
+# keeps them provisionable) and cost ~1s end to end.
 MERLIN_BENCH_JSON="$PWD/BENCH_solver.json" \
     ./build-release/bench/bench_fattree_table
 test -s BENCH_solver.json
@@ -131,10 +130,10 @@ if ! ./build-release/merlin-fuzz --iters 1 --seed 3 --max-deltas 0 \
     echo "merlin-fuzz long-trace FAILED; repro at $FUZZ_REPRO" >&2
     exit 1
 fi
-# Solver-mode rotation: the exact solver runs in mode {full, colgen,
-# sharded} on iteration i%3, and the solver cross-oracle holds colgen and
-# sharded to the full encoding's verdict (same proven infeasibility, or a
-# capacity-clean objective match) on every scenario.
+# Solver-mode rotation: the exact solver runs in mode {full, colgen} on
+# iteration i%2, and the solver cross-oracle holds colgen to the full
+# encoding's verdict (same proven infeasibility, or a capacity-clean
+# objective match) on every scenario.
 if ! ./build-release/merlin-fuzz --iters 200 --seed 1 --rotate-solver \
         --out "$FUZZ_REPRO"; then
     echo "merlin-fuzz rotate-solver sweep FAILED; repro at $FUZZ_REPRO" >&2
