@@ -99,7 +99,6 @@ struct Engine_checkpoint_state {
     std::vector<Engine::Entry> entries;
     std::vector<Guaranteed_request> requests;
     std::vector<std::size_t> request_entry;
-    lp::Basis basis;
     Provision_result provision;
     std::vector<bool> link_up;
     Compilation current;
@@ -112,7 +111,6 @@ Engine::Checkpoint Engine::checkpoint() const {
     state->entries = entries_;
     state->requests = requests_;
     state->request_entry = request_entry_;
-    state->basis = basis_;
     state->provision = provision_;
     state->link_up.reserve(static_cast<std::size_t>(topo_.link_count()));
     for (topo::LinkId l = 0; l < topo_.link_count(); ++l)
@@ -131,11 +129,7 @@ void Engine::restore(const Checkpoint& saved) {
     entries_ = state.entries;
     requests_ = state.requests;
     request_entry_ = state.request_entry;
-    basis_ = state.basis;
     provision_ = state.provision;
-    // The skeleton may have been patched or re-encoded for the abandoned
-    // state; dropping it is always safe (lazy re-encode on the next solve).
-    skeleton_valid_ = false;
     bool links_differ = false;
     for (topo::LinkId l = 0; l < topo_.link_count(); ++l) {
         const bool up = state.link_up[static_cast<std::size_t>(l)];
@@ -182,10 +176,7 @@ Engine_stats Engine_stats::since(const Engine_stats& earlier) const {
     d.trees_built = trees_built - earlier.trees_built;
     d.tree_cache_hits = tree_cache_hits - earlier.tree_cache_hits;
     d.lp_encodings = lp_encodings - earlier.lp_encodings;
-    d.lp_patches = lp_patches - earlier.lp_patches;
     d.solves = solves - earlier.solves;
-    d.warm_started_solves =
-        warm_started_solves - earlier.warm_started_solves;
     d.incremental_updates =
         incremental_updates - earlier.incremental_updates;
     d.predicate_compiles = predicate_compiles - earlier.predicate_compiles;
@@ -215,7 +206,7 @@ Engine::Engine(const ir::Policy& policy, const topo::Topology& topo,
     rebuild_requests();
     timing_.lp_construction_ms = ms_since(lp_start);
     const auto solve_start = Clock::now();
-    solve_provisioning(/*try_warm=*/false);
+    solve_provisioning();
     timing_.lp_solve_ms = ms_since(solve_start);
     publish();
     sync_pred_stats();
@@ -377,8 +368,6 @@ void Engine::rebuild_requests() {
                                         entry.src_host, entry.dst_host);
     });
     totals_.logical_builds += static_cast<long long>(requests_.size());
-    skeleton_valid_ = false;
-    basis_ = {};
 }
 
 bool Engine::mip_selected() const {
@@ -387,42 +376,19 @@ bool Engine::mip_selected() const {
             static_cast<int>(requests_.size()) <= options_.auto_mip_limit);
 }
 
-bool Engine::solve_provisioning(bool try_warm) {
+void Engine::solve_provisioning() {
     provision_ = {};
-    if (requests_.empty()) return false;
+    if (requests_.empty()) return;
     for (const Guaranteed_request& r : requests_)
-        if (!r.logical.solvable()) return false;  // publish() reports it
+        if (!r.logical.solvable()) return;  // publish() reports it
 
-    bool warm_used = false;
     if (mip_selected() && options_.solver_mode == Solver_mode::colgen) {
-        // Column generation re-derives its columns from the current
-        // requests on every solve and carries an optimality certificate
-        // (with a full-encoding fallback), so it keeps no cross-delta solver
-        // state: engine-after-deltas stays bit-equal to a batch compile by
-        // construction. The skeleton/basis fast paths stay dormant
-        // (skeleton_valid_ false) under this mode.
-        skeleton_valid_ = false;
-        basis_ = {};
         provision_ = provision_colgen(topo_, requests_, options_.heuristic,
                                       options_.mip);
     } else if (mip_selected()) {
-        if (!skeleton_valid_) {
-            skeleton_ =
-                encode_provisioning(topo_, requests_, options_.heuristic);
-            skeleton_valid_ = true;
-            basis_ = {};
-            ++totals_.lp_encodings;
-        }
-        const lp::Basis* warm =
-            try_warm && options_.mip.warm_start && !basis_.empty() ? &basis_
-                                                                   : nullptr;
-        lp::Basis next;
-        provision_ = solve_encoding(topo_, requests_, skeleton_, options_.mip,
-                                    warm, &next);
-        warm_used = warm != nullptr && provision_.warm_started_nodes > 0;
-        // Keep the previous basis on a failed solve: it may still seed the
-        // re-solve after the next patch.
-        if (!next.empty()) basis_ = std::move(next);
+        provision_ =
+            provision(topo_, requests_, options_.heuristic, options_.mip);
+        ++totals_.lp_encodings;
     }
     // Greedy runs when selected, when auto-selected past the MIP size
     // limit, or as the fallback for a truncated (unproven) MIP failure.
@@ -431,8 +397,6 @@ bool Engine::solve_provisioning(bool try_warm) {
          !provision_.proven_infeasible))
         provision_ = provision_greedy(topo_, requests_, options_.heuristic);
     ++totals_.solves;
-    if (warm_used) ++totals_.warm_started_solves;
-    return warm_used;
 }
 
 // ---------------------------------------------------------------------------
@@ -740,7 +704,7 @@ std::size_t Engine::request_of_entry(std::size_t index) const {
 Update_result Engine::finish_update(const char* kind,
                                     Clock::time_point start,
                                     const Engine_stats& before,
-                                    bool solver_run, bool warm_started) {
+                                    bool solver_run) {
     ++totals_.incremental_updates;
     // Delta boundary: no bdd::Node handles are held across this point, so
     // it is the one safe place to bound the predicate space of a
@@ -753,7 +717,6 @@ Update_result Engine::finish_update(const char* kind,
     out.feasible = current_.feasible;
     out.diagnostic = current_.diagnostic;
     out.solver_run = solver_run;
-    out.warm_started = warm_started;
     out.work = totals_.since(before);
     out.ms = ms_since(start);
     // Every delta path funnels through here exactly once, so this is the
@@ -800,16 +763,14 @@ Update_result Engine::add_statement(const ir::Statement& statement,
         ensure_guaranteed_nfas();
         requests_.push_back(make_request(entries_.back()));
         request_entry_.push_back(entries_.size() - 1);
-        skeleton_valid_ = false;
-        basis_ = {};
         solver_run = true;
-        solve_provisioning(/*try_warm=*/false);
+        solve_provisioning();
     } else {
         entries_.push_back(std::move(fresh));
     }
     publish();
     guard.commit();
-    return finish_update("add_statement", start, before, solver_run, false);
+    return finish_update("add_statement", start, before, solver_run);
 }
 
 Update_result Engine::remove_statement(const std::string& id) {
@@ -830,15 +791,12 @@ Update_result Engine::remove_statement(const std::string& id) {
     for (std::size_t& e : request_entry_)
         if (e > index) --e;
     if (was_guaranteed) {
-        skeleton_valid_ = false;
-        basis_ = {};
         solver_run = !requests_.empty();
-        solve_provisioning(/*try_warm=*/false);
+        solve_provisioning();
     }
     publish();
     guard.commit();
-    return finish_update("remove_statement", start, before, solver_run,
-                         false);
+    return finish_update("remove_statement", start, before, solver_run);
 }
 
 Update_result Engine::set_bandwidth(const std::string& id,
@@ -863,30 +821,25 @@ Update_result Engine::set_bandwidth(const std::string& id,
             entry.cap = old_cap;
             throw;
         }
-        return finish_update("set_bandwidth", start, before, false, false);
+        return finish_update("set_bandwidth", start, before, false);
     }
 
     bool solver_run = true;
-    bool warm = false;
     const bool was_feasible = current_.feasible;
     if (old.bps() > 0 && guarantee.bps() > 0) {
         // The paper's fast path ("changes to bandwidth allocations do not
-        // require recompilation"): patch the live encoding, warm-start
-        // branch & bound. No automata, logical-topology, sink-tree or
-        // re-encoding work — and no Delta_guard state capture either; the
-        // three mutated scalars roll back by hand and the patched skeleton
-        // is dropped, preserving the strong guarantee at fast-path cost.
+        // require recompilation"): set the new rate on the request and
+        // re-solve. No automata, logical-topology or sink-tree work — and
+        // no Delta_guard state capture either; the three mutated scalars
+        // and the solve outcome roll back by hand, preserving the strong
+        // guarantee at fast-path cost.
         const std::size_t r = request_of_entry(index);
         Provision_result saved_provision = provision_;
         try {
             entry.cap = cap;
             entry.guarantee = guarantee;
             requests_[r].rate = guarantee;
-            if (mip_selected() && skeleton_valid_) {
-                patch_request_rate(skeleton_, requests_, r);
-                ++totals_.lp_patches;
-            }
-            warm = solve_provisioning(/*try_warm=*/true);
+            solve_provisioning();
             if (was_feasible && provision_.feasible)
                 publish_bandwidth(index);
             else
@@ -896,7 +849,6 @@ Update_result Engine::set_bandwidth(const std::string& id,
             entry.cap = old_cap;
             requests_[r].rate = old;
             provision_ = std::move(saved_provision);
-            skeleton_valid_ = false;
             throw;
         }
     } else if (guarantee.bps() > 0) {
@@ -913,9 +865,7 @@ Update_result Engine::set_bandwidth(const std::string& id,
                          make_request(entry));
         request_entry_.insert(
             request_entry_.begin() + static_cast<std::ptrdiff_t>(r), index);
-        skeleton_valid_ = false;
-        basis_ = {};
-        solve_provisioning(/*try_warm=*/false);
+        solve_provisioning();
         publish();
         guard.commit();
     } else {
@@ -927,14 +877,12 @@ Update_result Engine::set_bandwidth(const std::string& id,
         requests_.erase(requests_.begin() + static_cast<std::ptrdiff_t>(r));
         request_entry_.erase(request_entry_.begin() +
                              static_cast<std::ptrdiff_t>(r));
-        skeleton_valid_ = false;
-        basis_ = {};
         solver_run = !requests_.empty();
-        solve_provisioning(/*try_warm=*/false);
+        solve_provisioning();
         publish();
         guard.commit();
     }
-    return finish_update("set_bandwidth", start, before, solver_run, warm);
+    return finish_update("set_bandwidth", start, before, solver_run);
 }
 
 Update_result Engine::set_link_state(topo::LinkId link, bool up,
@@ -944,35 +892,12 @@ Update_result Engine::set_link_state(topo::LinkId link, bool up,
     if (link < 0 || link >= topo_.link_count())
         throw Topology_error("unknown link id");
     if (topo_.link_up(link) == up)
-        return finish_update(kind, start, before, false, false);
+        return finish_update(kind, start, before, false);
     Delta_guard guard(*this);
     topo_.set_link_state(link, up);
 
-    bool solver_run = false;
-    bool warm = false;
-    if (!requests_.empty()) {
-        solver_run = true;
-        if (mip_selected() && skeleton_valid_) {
-            // The encoding's shape is link-state independent: flipping a
-            // link is a pure bound patch, so the previous basis stays a
-            // valid warm start.
-            for (std::size_t r = 0; r < requests_.size(); ++r) {
-                const auto& logical = requests_[r].logical;
-                for (int e = 0; e < logical.graph.edge_count(); ++e) {
-                    if (logical.edges[static_cast<std::size_t>(e)].link !=
-                        link)
-                        continue;
-                    skeleton_.problem.set_bounds(
-                        skeleton_.edge_vars[r][static_cast<std::size_t>(e)],
-                        0.0, up ? 1.0 : 0.0);
-                    ++totals_.lp_patches;
-                }
-            }
-            warm = solve_provisioning(/*try_warm=*/true);
-        } else {
-            warm = solve_provisioning(/*try_warm=*/false);
-        }
-    }
+    const bool solver_run = !requests_.empty();
+    solve_provisioning();
     // Sink trees route over live links only: the switch graph changed, so
     // every cached tree is stale. The class NFAs are not (the alphabet is
     // node-based), and publish() rebuilds exactly the needed trees.
@@ -980,7 +905,7 @@ Update_result Engine::set_link_state(topo::LinkId link, bool up,
     tree_cache_.clear();
     publish();
     guard.commit();
-    return finish_update(kind, start, before, solver_run, warm);
+    return finish_update(kind, start, before, solver_run);
 }
 
 Update_result Engine::fail_link(topo::LinkId link) {
@@ -1012,12 +937,11 @@ Update_result Engine::recompile() {
     rebuild_requests();
     timing_.lp_construction_ms = ms_since(lp_start);
     const auto solve_start = Clock::now();
-    solve_provisioning(/*try_warm=*/false);
+    solve_provisioning();
     timing_.lp_solve_ms = ms_since(solve_start);
     publish();
     guard.commit();
-    return finish_update("recompile", start, before, !requests_.empty(),
-                         false);
+    return finish_update("recompile", start, before, !requests_.empty());
 }
 
 // ---------------------------------------------------------------------------

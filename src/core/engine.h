@@ -9,35 +9,32 @@
 //     full location alphabet (guaranteed statements) and one over the
 //     switch alphabet (best-effort classes, with cached emptiness),
 //   * built sink trees keyed by (path text, egress switch),
-//   * the encoded provisioning MIP (the "LP skeleton") with the index maps
-//     needed to patch it in place,
-//   * the last optimal branch & bound basis.
+//   * the provisioning requests (one logical topology per guaranteed
+//     statement).
 //
-// Delta operations patch only what a change touches:
+// It keeps no solver state: every solve is the batch compiler's cold solve
+// over requests_. Delta operations rebuild only what a change touches:
 //
-//   * set_bandwidth on a statement that stays guaranteed patches the
-//     constraint-(2) coefficients and objective costs of the live encoding
-//     and warm-starts branch & bound from the previous basis — no automata
-//     work, no logical topologies, no re-encoding, no sink-tree work
-//     (the paper's "changes to bandwidth allocations do not require
-//     recompilation", Section 4.3); cap-only changes run no solver at all;
-//   * fail_link / restore_link flip the bounds of the binaries crossing
-//     that link (the encoding's shape is link-state independent) and
-//     rebuild only the sink trees, again warm-starting the solver;
+//   * set_bandwidth on a statement that stays guaranteed sets the new rate
+//     on its request and re-solves — no automata work, no logical
+//     topologies, no sink-tree work (the paper's "changes to bandwidth
+//     allocations do not require recompilation", Section 4.3); cap-only
+//     changes run no solver at all;
+//   * fail_link / restore_link re-solve (the logical topologies are link-
+//     state independent; the encoding pins a down link's binaries to zero)
+//     and rebuild only the sink trees;
 //   * add_statement / remove_statement and guarantee promotions/demotions
-//     change the encoding's shape, so they fall back to re-encoding the
-//     skeleton — but still reuse every cached automaton and sink tree.
+//     add or drop one request — still reusing every cached automaton and
+//     sink tree.
 //
 // After every delta the published Compilation is identical to what a
-// from-scratch compile() of the current policy and topology would produce
-// (solver work counters aside) — the equivalence the engine_test suite
-// pins down. One known boundary, found by merlin-fuzz: the objective
-// jitters are integer multiples of one quantum, so two MIP-optimal path
-// sets can tie *exactly* (symmetric detours whose jitter sums collide), and
-// a warm-started re-solve may then publish the other optimal vertex than a
-// cold compile. Both answers carry the same rates, path lengths, r_max and
-// R_max; the testgen oracle accepts exactly this proven-tie divergence and
-// nothing else.
+// from-scratch compile() of the current policy and topology would produce,
+// solver work counters included: both run the same deterministic cold
+// solve on the same encoding. The engine_test suite and the merlin-fuzz
+// engine-vs-batch oracle compare them exactly. Seeding a delta's re-solve
+// from the previous basis saves only ~1 ms of a ~20 ms bandwidth delta
+// (perfbench churn), and a warm re-solve can stop on a different, exactly
+// tied optimum than a cold compile — so no delta does.
 #pragma once
 
 #include <chrono>
@@ -51,7 +48,6 @@
 #include <vector>
 
 #include "core/compiler.h"
-#include "lp/simplex.h"
 #include "pred/analysis.h"
 
 namespace merlin::core {
@@ -70,18 +66,20 @@ struct Engine_checkpoint_state;
 inline constexpr std::size_t kBddVacuumNodeLimit = 1 << 16;
 
 // Cumulative work counters. A bandwidth-only delta must leave
-// automata_built, logical_builds, trees_built and lp_encodings untouched —
-// the engine_test suite asserts exactly that.
+// automata_built, logical_builds and trees_built untouched — the
+// engine_test suite asserts exactly that.
 struct Engine_stats {
     long long automata_built = 0;      // NFA chains constructed (cache misses)
     long long automata_cache_hits = 0; // NFA lookups served from the interns
     long long logical_builds = 0;      // logical topologies constructed
     long long trees_built = 0;         // sink trees constructed (cache misses)
     long long tree_cache_hits = 0;     // sink trees served from the cache
-    long long lp_encodings = 0;        // full MIP skeleton (re)encodes
-    long long lp_patches = 0;          // in-place coefficient/cost/bound edits
+    long long lp_encodings = 0;        // full-encoding MIP encodes
     long long solves = 0;              // provisioning solver runs
-    long long warm_started_solves = 0; // solves seeded by the previous basis
+    // Always 0: the engine neither patches an encoding in place nor seeds a
+    // solve from an earlier one. Kept for readers of the counter set.
+    long long lp_patches = 0;
+    long long warm_started_solves = 0;
     long long incremental_updates = 0; // delta operations applied
     // Predicate-DAG sharing counters, synced from the engine's analyzer at
     // every publication. predicate_compiles counts *distinct* predicate
@@ -105,7 +103,6 @@ struct Update_result {
     const char* kind = "";     // which delta ran ("set_bandwidth", ...)
     double ms = 0;             // wall-clock of the update
     bool solver_run = false;   // a provisioning solve happened
-    bool warm_started = false; // ... and it reused the previous basis
     Engine_stats work;         // work performed by this update alone
 
     explicit operator bool() const { return feasible; }
@@ -132,9 +129,9 @@ public:
 
     // Re-divides bandwidth: sets the statement's guarantee and cap. A
     // guarantee change between two positive rates is the paper's
-    // no-recompilation fast path; 0 -> positive (and back) moves the
-    // statement between the best-effort and guaranteed worlds and falls
-    // back to a skeleton re-encode.
+    // no-recompilation fast path (one re-solve, nothing rebuilt);
+    // 0 -> positive (and back) moves the statement between the
+    // best-effort and guaranteed worlds, adding or dropping its request.
     Update_result set_bandwidth(const std::string& id, Bandwidth guarantee,
                                 std::optional<Bandwidth> cap = std::nullopt);
 
@@ -166,7 +163,7 @@ public:
 
     // ---- transactional rollback --------------------------------------------
     // A checkpoint captures every piece of delta-visible state: the policy
-    // entries, the provisioning requests, solver warm-start state, link
+    // entries, the provisioning requests, the last solve outcome, link
     // states, the published Compilation, and generation(). The NFA and
     // sink-tree interns are content-addressed caches shared across states,
     // so they are not captured; restore() only evicts trees built under a
@@ -177,9 +174,7 @@ public:
     // generation() — and fires no publish hook: a shadow-apply caller (the
     // src/daemon transaction protocol) already observed the candidate state
     // itself and must rewind its own consumers (codegen::Incremental,
-    // analysis::Update_checker) alongside. The live LP skeleton is dropped
-    // rather than captured, so a rolled-back delta costs one lazy re-encode
-    // on the next solve — never correctness: engine-vs-batch equivalence
+    // analysis::Update_checker) alongside. Engine-vs-batch equivalence
     // holds across any checkpoint/restore sequence (pinned by engine_test).
     class Checkpoint {
         friend class Engine;
@@ -269,10 +264,9 @@ private:
     [[nodiscard]] Guaranteed_request make_request(const Entry& entry);
 
     // Runs the solver over requests_, honouring Compile_options::solver
-    // selection and the greedy fallback. `try_warm` seeds branch & bound
-    // from the previous basis when the skeleton is live. Returns whether
-    // the solve warm-started.
-    bool solve_provisioning(bool try_warm);
+    // selection and the greedy fallback — exactly the solve a fresh
+    // compile() performs.
+    void solve_provisioning();
 
     // Rebuilds current_ from scratch (through the caches), mirroring
     // compile()'s staging and early returns exactly.
@@ -288,8 +282,7 @@ private:
 
     Update_result finish_update(const char* kind,
                                 std::chrono::steady_clock::time_point start,
-                                const Engine_stats& before, bool solver_run,
-                                bool warm_started);
+                                const Engine_stats& before, bool solver_run);
     // Copies the analyzer's predicate/BDD counters into totals_.
     void sync_pred_stats();
     Update_result set_link_state(topo::LinkId link, bool up, const char* kind);
@@ -308,9 +301,6 @@ private:
     // Guaranteed world.
     std::vector<Guaranteed_request> requests_;   // guaranteed entries, in order
     std::vector<std::size_t> request_entry_;     // request -> entry index
-    Mip_encoding skeleton_;
-    bool skeleton_valid_ = false;                // matches requests_' shape
-    lp::Basis basis_;                            // last incumbent basis
     Provision_result provision_;                 // last solve outcome
 
     // Interns.

@@ -97,9 +97,7 @@ namespace {
 //
 //   * the quantum must clear the simplex optimality tolerance (1e-7) by a
 //     healthy margin — if two edge subsets can differ by less than the
-//     tolerance, a warm-started re-solve may legitimately stop on a
-//     different "optimal" vertex than a cold solve, and the engine's
-//     incremental updates would drift from a from-scratch compile;
+//     tolerance, the simplex cannot tell which one is optimal;
 //   * the total magnitude must stay far below kEpsilonCost — perturbing
 //     the relaxation at the epsilon-cost scale measurably degrades branch
 //     & bound on capacity-tight instances (a 1e-3 max was a 60x slowdown
@@ -155,15 +153,12 @@ Mip_encoding encode_provisioning(const topo::Topology& topo,
                                  const std::vector<Guaranteed_request>& requests,
                                  Heuristic heuristic) {
     Mip_encoding out;
-    out.heuristic = heuristic;
     mip::Problem& problem = out.problem;
 
     // Edge binaries, per request. The jitter stream is drawn in a fixed
     // order (all binary costs, then all weighted-shortest-path costs), so
-    // any two encodes of the same request list are bit-identical — the
-    // invariant that lets the engine patch rates into a live encoding.
+    // any two encodes of the same request list are bit-identical.
     out.edge_vars.resize(requests.size());
-    out.cost_jitter.resize(requests.size());
     Jitter_stream jitter;
     for (std::size_t i = 0; i < requests.size(); ++i) {
         const auto& logical = requests[i].logical;
@@ -175,8 +170,8 @@ Mip_encoding encode_provisioning(const topo::Topology& topo,
     }
 
     // Links currently down carry no traffic: their edges exist (so the
-    // encoding's shape is independent of link state and bound patches can
-    // flip state in place) but are pinned to zero.
+    // encoding's shape is independent of link state) but are pinned to
+    // zero.
     for (std::size_t i = 0; i < requests.size(); ++i) {
         const auto& logical = requests[i].logical;
         for (int e = 0; e < logical.graph.edge_count(); ++e) {
@@ -206,10 +201,9 @@ Mip_encoding encode_provisioning(const topo::Topology& topo,
     }
 
     // (2) r_uv bookkeeping per physical link, plus (3)/(4) maxima.
-    out.r_max_var = problem.add_continuous(0.0, 0.0, 1.0);
-    out.big_r_max_var =
+    const int r_max_var = problem.add_continuous(0.0, 0.0, 1.0);
+    const int big_r_max_var =
         problem.add_continuous(0.0, 0.0, lp::kInfinity);  // in Mbps
-    out.link_row.assign(static_cast<std::size_t>(topo.link_count()), -1);
     for (topo::LinkId link = 0; link < topo.link_count(); ++link) {
         // (5) is the upper bound 1 here.
         const int r_uv = problem.add_continuous(0.0, 0.0, 1.0);
@@ -227,16 +221,14 @@ Mip_encoding encode_provisioning(const topo::Topology& topo,
                     coeffs.emplace_back(
                         out.edge_vars[i][static_cast<std::size_t>(e)], -rate);
         }
-        out.link_row[static_cast<std::size_t>(link)] =
-            problem.relaxation().constraint_count();
         problem.add_constraint(lp::Sense::equal, 0.0, std::move(coeffs));
 
         // (3) r_max >= r_uv   and   (4) R_max >= r_uv * c_uv.
         problem.add_constraint(lp::Sense::less_equal, 0.0,
-                               {{r_uv, 1.0}, {out.r_max_var, -1.0}});
+                               {{r_uv, 1.0}, {r_max_var, -1.0}});
         problem.add_constraint(
             lp::Sense::less_equal, 0.0,
-            {{r_uv, capacity_mbps}, {out.big_r_max_var, -1.0}});
+            {{r_uv, capacity_mbps}, {big_r_max_var, -1.0}});
     }
 
     // Objective.
@@ -245,60 +237,34 @@ Mip_encoding encode_provisioning(const topo::Topology& topo,
             for (std::size_t i = 0; i < requests.size(); ++i) {
                 const double weight = std::max(to_mbps(requests[i].rate), 1.0);
                 const auto& logical = requests[i].logical;
-                out.cost_jitter[i].assign(
-                    static_cast<std::size_t>(logical.graph.edge_count()), 0.0);
                 for (int e = 0; e < logical.graph.edge_count(); ++e)
                     if (logical.edges[static_cast<std::size_t>(e)].link !=
-                        topo::kNoLink) {
-                        const double draw = jitter.next();
-                        out.cost_jitter[i][static_cast<std::size_t>(e)] = draw;
+                        topo::kNoLink)
                         problem.set_cost(
                             out.edge_vars[i][static_cast<std::size_t>(e)],
-                            weight + kEpsilonCost + draw);
-                    }
+                            weight + kEpsilonCost + jitter.next());
             }
             break;
         case Heuristic::min_max_ratio:
-            problem.set_cost(out.r_max_var, 1000.0);
+            problem.set_cost(r_max_var, 1000.0);
             break;
         case Heuristic::min_max_reserved:
-            problem.set_cost(out.big_r_max_var, 1.0);
+            problem.set_cost(big_r_max_var, 1.0);
             break;
     }
     return out;
 }
 
-void patch_request_rate(Mip_encoding& encoding,
-                        const std::vector<Guaranteed_request>& requests,
-                        std::size_t r) {
-    const Guaranteed_request& request = requests[r];
-    const auto& logical = request.logical;
-    const double rate = to_mbps(request.rate);
-    expects(rate > 0, "rate patches require a positive rate");
-    const double weight = std::max(rate, 1.0);
-    for (int e = 0; e < logical.graph.edge_count(); ++e) {
-        const topo::LinkId link =
-            logical.edges[static_cast<std::size_t>(e)].link;
-        if (link == topo::kNoLink) continue;
-        const int var = encoding.edge_vars[r][static_cast<std::size_t>(e)];
-        encoding.problem.set_coefficient(
-            encoding.link_row[static_cast<std::size_t>(link)], var, -rate);
-        if (encoding.heuristic == Heuristic::weighted_shortest_path)
-            encoding.problem.set_cost(
-                var, weight + kEpsilonCost +
-                         encoding.cost_jitter[r][static_cast<std::size_t>(e)]);
-    }
-}
-
-Provision_result solve_encoding(const topo::Topology& topo,
-                                const std::vector<Guaranteed_request>& requests,
-                                const Mip_encoding& encoding,
-                                const mip::Options& options,
-                                const lp::Basis* root_warm,
-                                lp::Basis* basis_out) {
+Provision_result provision(const topo::Topology& topo,
+                           const std::vector<Guaranteed_request>& requests,
+                           Heuristic heuristic, const mip::Options& options) {
     Provision_result out;
-    mip::Solution solution =
-        mip::solve(encoding.problem, options, root_warm);
+    for (const Guaranteed_request& r : requests)
+        if (!r.logical.solvable()) return out;  // no path can exist
+
+    const Mip_encoding encoding =
+        encode_provisioning(topo, requests, heuristic);
+    const mip::Solution solution = mip::solve(encoding.problem, options);
     out.solver = "mip";
     out.variables = encoding.problem.variable_count();
     out.constraints = encoding.problem.relaxation().constraint_count();
@@ -306,7 +272,6 @@ Provision_result solve_encoding(const topo::Topology& topo,
     out.simplex_iterations = solution.simplex_iterations;
     out.lp_factorizations = solution.lp_factorizations;
     out.warm_started_nodes = solution.warm_started_nodes;
-    if (basis_out != nullptr) *basis_out = std::move(solution.basis);
     if (!solution.usable()) {
         out.proven_infeasible = solution.status == mip::Status::infeasible;
         return out;
@@ -328,18 +293,6 @@ Provision_result solve_encoding(const topo::Topology& topo,
     }
     detail::fill_maxima(topo, out);
     return out;
-}
-
-Provision_result provision(const topo::Topology& topo,
-                           const std::vector<Guaranteed_request>& requests,
-                           Heuristic heuristic, const mip::Options& options) {
-    Provision_result out;
-    for (const Guaranteed_request& r : requests)
-        if (!r.logical.solvable()) return out;  // no path can exist
-
-    const Mip_encoding encoding =
-        encode_provisioning(topo, requests, heuristic);
-    return solve_encoding(topo, requests, encoding, options);
 }
 
 Provision_result provision_greedy(

@@ -91,55 +91,23 @@ struct Provision_result {
     int full_fallbacks = 0;
 };
 
-// The encoded provisioning MIP plus the index maps needed to patch it in
-// place. core::Engine keeps one of these alive across delta operations: a
-// bandwidth re-allocation touches only the affected constraint-(2)
-// coefficients and objective costs, a link failure only the bounds of the
-// binaries crossing that link — no re-encoding, and the previous optimal
-// basis stays usable as a warm start.
+// The encoded provisioning MIP plus the variable maps needed to read a
+// solution back.
 struct Mip_encoding {
     mip::Problem problem;
     // Per request, per logical edge: the edge's binary variable.
     std::vector<std::vector<int>> edge_vars;
-    // Physical link -> row index of its constraint (2) (the r_uv * c_uv
-    // bookkeeping equality) inside `problem`.
-    std::vector<int> link_row;
-    // Per request, per logical edge: the deterministic objective jitter
-    // drawn for the weighted-shortest-path cost of that edge (0 for edges
-    // that cross no physical link). Recorded so a rate patch reproduces the
-    // exact cost a from-scratch encode would assign.
-    std::vector<std::vector<double>> cost_jitter;
-    int r_max_var = -1;
-    int big_r_max_var = -1;
-    Heuristic heuristic = Heuristic::weighted_shortest_path;
 };
 
 // Encodes constraints (1)-(5) and the heuristic objective for `requests`.
 // Edges that cross a link currently marked down have their binaries fixed
-// to zero, so the encoding of a degraded topology is reachable both from
-// scratch and by patching bounds into a live encoding.
+// to zero.
 [[nodiscard]] Mip_encoding encode_provisioning(
     const topo::Topology& topo, const std::vector<Guaranteed_request>& requests,
     Heuristic heuristic);
 
-// Re-applies request r's (changed) rate to a live encoding: constraint-(2)
-// coefficients on every link the request's logical edges cross, and the
-// weighted-shortest-path objective costs. The result is bit-identical to
-// re-encoding from scratch with the new rate.
-void patch_request_rate(Mip_encoding& encoding,
-                        const std::vector<Guaranteed_request>& requests,
-                        std::size_t r);
-
-// Solves a live encoding (optionally warm-starting branch & bound from
-// `root_warm`) and extracts paths/maxima/stats. `basis_out`, when non-null,
-// receives the incumbent's LP basis for the next warm start.
-[[nodiscard]] Provision_result solve_encoding(
-    const topo::Topology& topo, const std::vector<Guaranteed_request>& requests,
-    const Mip_encoding& encoding, const mip::Options& options,
-    const lp::Basis* root_warm = nullptr, lp::Basis* basis_out = nullptr);
-
-// Solves the provisioning MIP exactly (the paper's formulation): a one-shot
-// encode_provisioning + solve_encoding. Requests must have solvable logical
+// Solves the provisioning MIP exactly (the paper's formulation): a cold
+// encode_provisioning + branch & bound. Requests must have solvable logical
 // topologies (an unsolvable one yields feasible = false immediately).
 [[nodiscard]] Provision_result provision(
     const topo::Topology& topo, const std::vector<Guaranteed_request>& requests,

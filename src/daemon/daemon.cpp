@@ -6,6 +6,7 @@
 #include <fstream>
 #include <sstream>
 #include <thread>
+#include <utility>
 
 #include "analysis/lint.h"
 #include "core/logical.h"
@@ -307,7 +308,7 @@ Controller::Controller(const ir::Policy& policy, const topo::Topology& topo,
         }
     }
     first->checksum = snapshot_fingerprint(*first);
-    slot_.store(std::move(first), std::memory_order_release);
+    slot_ = std::move(first);
     serving_generation_.store(1, std::memory_order_release);
 }
 
@@ -840,11 +841,12 @@ Response Controller::refuse(Response response, Refusal code,
 
 void Controller::publish_locked(std::shared_ptr<Snapshot> next) {
     const std::uint64_t generation = next->generation;
-    const std::shared_ptr<const Snapshot> old =
-        slot_.load(std::memory_order_relaxed);
+    std::shared_ptr<const Snapshot> old;
+    {
+        std::lock_guard<std::mutex> lock(slot_mutex_);
+        old = std::exchange(slot_, std::move(next));
+    }
     if (old) retired_.push_back(old);
-    slot_.store(std::shared_ptr<const Snapshot>(std::move(next)),
-                std::memory_order_release);
     serving_generation_.store(generation, std::memory_order_release);
     std::erase_if(retired_, [](const std::weak_ptr<const Snapshot>& w) {
         return w.expired();

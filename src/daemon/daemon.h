@@ -3,10 +3,12 @@
 //
 // merlind (tools/) keeps a Controller alive and feeds it control lines;
 // concurrent readers — stats queries, codegen emitters, netsim replay —
-// load the current Snapshot through an RCU-style `std::atomic<
-// std::shared_ptr>` slot and never observe a torn state: a snapshot is
-// fully built before the pointer swap, immutable after it, and carries a
-// monotone generation number plus a content checksum readers can recompute.
+// copy the current Snapshot's `shared_ptr` out of a mutex-guarded slot and
+// never observe a torn state: a snapshot is fully built before the pointer
+// swap, immutable after it, and carries a monotone generation number plus a
+// content checksum readers can recompute. The slot's mutex guards only the
+// pointer copy or swap (never a build or a gate), so readers do not wait on
+// a delta in flight.
 //
 // Every delta is a transaction. The engine itself is the shadow: readers
 // only ever see the published snapshot, so the controller applies the delta
@@ -191,10 +193,12 @@ public:
     // Blue/green full-policy replacement (the `reload` command's core).
     Response reload(const ir::Policy& policy, int stream = 0);
 
-    // The serving snapshot: a wait-free atomic load; the returned state is
+    // The serving snapshot: a pointer copy under the slot's own mutex
+    // (held only for the copy, never across a delta); the returned state is
     // immutable and stays valid for as long as the pointer is held.
     [[nodiscard]] std::shared_ptr<const Snapshot> snapshot() const {
-        return slot_.load(std::memory_order_acquire);
+        std::lock_guard<std::mutex> lock(slot_mutex_);
+        return slot_;
     }
     [[nodiscard]] std::uint64_t generation() const {
         return serving_generation_.load(std::memory_order_acquire);
@@ -254,7 +258,8 @@ private:
     Daemon_stats stats_;
     std::vector<std::weak_ptr<const Snapshot>> retired_;
 
-    std::atomic<std::shared_ptr<const Snapshot>> slot_;
+    mutable std::mutex slot_mutex_;  // guards slot_ (the pointer only)
+    std::shared_ptr<const Snapshot> slot_;
     std::atomic<std::uint64_t> serving_generation_{0};
 };
 

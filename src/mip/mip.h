@@ -40,6 +40,10 @@ struct Options {
     lp::Options lp;
 };
 
+// The outcome of one branch & bound run. It exports no LP basis: every
+// solve starts cold (or from column generation's master, see solve()), so
+// two solves of the same problem with the same options are identical,
+// work counters included.
 struct Solution {
     Status status = Status::infeasible;
     double objective = 0;
@@ -49,12 +53,7 @@ struct Solution {
     // cost; these let benches report *why* the wall-clock moved).
     long long simplex_iterations = 0;
     int lp_factorizations = 0;
-    int warm_started_nodes = 0;
-    // LP basis at the incumbent (empty when no usable solution, or when the
-    // incumbent's LP could not export one). Feed it back as `root_warm` on a
-    // re-solve after bound/coefficient patches: the provisioning engine's
-    // bandwidth deltas restart branch & bound from here.
-    lp::Basis basis;
+    int warm_started_nodes = 0;  // nodes seeded by their parent's basis
 
     [[nodiscard]] bool optimal() const { return status == Status::optimal; }
     // True when `x` holds a usable integral solution.
@@ -73,10 +72,10 @@ public:
     void add_constraint(lp::Sense sense, double rhs,
                         std::vector<std::pair<int, double>> coefficients);
     void set_cost(int variable, double cost);
-    // In-place patches for an already-encoded problem (the incremental
-    // engine's delta path): bound changes (e.g. fixing the binaries of a
-    // failed link to zero) and constraint-coefficient changes (bandwidth
-    // re-allocations). Both keep exported bases usable as warm starts.
+    // Edits while building a problem: bound changes (the provisioning
+    // encoder pins the binaries of a failed link to zero) and coefficients
+    // of an already-added row (column generation adds a column's entries to
+    // existing master rows).
     void set_bounds(int variable, double lower, double upper);
     void set_coefficient(int row, int variable, double coefficient);
 
@@ -94,8 +93,11 @@ private:
 };
 
 // `root_warm`, when non-null, warm-starts the root relaxation (and, through
-// basis inheritance, the whole tree) from a basis exported by a previous
-// solve of a structurally identical problem.
+// basis inheritance, the whole tree) from an LP basis of the same problem.
+// Its one caller is column generation, which hands its converged master
+// basis to price-and-branch within one provisioning solve (without it that
+// root re-solves from scratch: twice the simplex iterations on the
+// Table-7 workload). No solve is ever seeded from an earlier solve.
 [[nodiscard]] Solution solve(const Problem& problem,
                              const Options& options = {},
                              const lp::Basis* root_warm = nullptr);

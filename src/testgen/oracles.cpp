@@ -72,40 +72,6 @@ std::optional<std::string> diff_nfa(const automata::Nfa& a,
     return std::nullopt;
 }
 
-std::vector<std::string> function_multiset(
-    const std::vector<core::Placement>& placements) {
-    std::vector<std::string> out;
-    out.reserve(placements.size());
-    for (const core::Placement& p : placements) out.push_back(p.function);
-    std::sort(out.begin(), out.end());
-    return out;
-}
-
-// Whether two MIP-provisioned paths are alternate optima that tie exactly
-// at jitter resolution (see the describe_difference contract): identical
-// cost signature, same endpoints, and the engine's word still satisfies the
-// statement's expression.
-bool proven_tie(const core::Provisioned_path& a,
-                const core::Provisioned_path& b, const ir::PathPtr& expression,
-                const topo::Topology& topo) {
-    if (a.id != b.id || a.rate != b.rate) return false;
-    if (a.word.size() != b.word.size() || a.links.size() != b.links.size())
-        return false;
-    if (a.word.empty()) return false;
-    if (a.word.front() != b.word.front() || a.word.back() != b.word.back())
-        return false;
-    if (function_multiset(a.placements) != function_multiset(b.placements))
-        return false;
-    try {
-        const automata::Nfa nfa = automata::remove_epsilon(
-            automata::thompson(expression, core::make_alphabet(topo)));
-        return automata::accepts(nfa, std::vector<int>(a.word.begin(),
-                                                       a.word.end()));
-    } catch (const Error&) {
-        return false;
-    }
-}
-
 std::optional<std::string> diff_path(const core::Provisioned_path& a,
                                      const core::Provisioned_path& b,
                                      const std::string& what) {
@@ -127,38 +93,7 @@ std::optional<std::string> diff_path(const core::Provisioned_path& a,
 }  // namespace
 
 std::optional<std::string> describe_difference(const core::Compilation& engine,
-                                               const core::Compilation& fresh,
-                                               const topo::Topology& topo,
-                                               const core::Compile_options& options) {
-    // A branch & bound stopped by the node limit keeps whichever incumbent
-    // its exploration order reached first — warm and cold orders differ
-    // legitimately, so nothing about the published outcome is comparable.
-    const auto truncated = [&](const core::Provision_result& p) {
-        return std::string(p.solver) == "mip" &&
-               p.mip_nodes >= options.mip.max_nodes;
-    };
-    if (truncated(engine.provision) || truncated(fresh.provision))
-        return std::nullopt;
-
-    // Provisioned-path tie detection (see the header contract): ids whose
-    // engine/batch paths differ but are proven alternate optima.
-    std::set<std::string> tied_ids;
-    const bool mip_both = std::string(engine.provision.solver) == "mip" &&
-                          std::string(fresh.provision.solver) == "mip";
-    if (mip_both &&
-        engine.provision.paths.size() == fresh.provision.paths.size()) {
-        for (std::size_t i = 0; i < engine.provision.paths.size(); ++i) {
-            const core::Provisioned_path& a = engine.provision.paths[i];
-            const core::Provisioned_path& b = fresh.provision.paths[i];
-            if (!diff_path(a, b, "")) continue;  // exactly equal
-            const ir::PathPtr* expression = nullptr;
-            for (const core::Statement_plan& plan : engine.plans)
-                if (plan.statement.id == a.id)
-                    expression = &plan.statement.path;
-            if (expression != nullptr && proven_tie(a, b, *expression, topo))
-                tied_ids.insert(a.id);
-        }
-    }
+                                               const core::Compilation& fresh) {
     if (engine.feasible != fresh.feasible)
         return fail("feasibility", engine.feasible ? "engine feasible, batch not"
                                                    : "batch feasible, engine not");
@@ -186,7 +121,7 @@ std::optional<std::string> describe_difference(const core::Compilation& engine,
         if (a.drop != b.drop) return fail(what, "drop flag differs");
         if (a.path.has_value() != b.path.has_value())
             return fail(what, "provisioned path presence differs");
-        if (a.path && !tied_ids.contains(a.statement.id))
+        if (a.path)
             if (auto d = diff_path(*a.path, *b.path, what)) return d;
     }
     if (engine.class_nfas.size() != fresh.class_nfas.size())
@@ -226,22 +161,27 @@ std::optional<std::string> describe_difference(const core::Compilation& engine,
         return fail("provision", "problem dimensions differ");
     if (pa.paths.size() != pb.paths.size())
         return fail("provision", "path count differs");
-    for (std::size_t i = 0; i < pa.paths.size(); ++i) {
-        if (tied_ids.contains(pa.paths[i].id)) continue;
+    for (std::size_t i = 0; i < pa.paths.size(); ++i)
         if (auto d = diff_path(pa.paths[i], pb.paths[i], "provisioned path"))
             return d;
-    }
-    // r_max / R_max are derived from the chosen paths; under a proven tie
-    // the two optimal path sets may load links differently in the metric
-    // the heuristic does not optimize (check_capacity pins each solution's
-    // own maxima to its own paths).
-    if (tied_ids.empty()) {
-        if (pa.r_max != pb.r_max)
-            return fail("provision", "r_max " + std::to_string(pa.r_max) +
-                                         " vs " + std::to_string(pb.r_max));
-        if (pa.big_r_max != pb.big_r_max)
-            return fail("provision", "R_max differs");
-    }
+    if (pa.r_max != pb.r_max)
+        return fail("provision", "r_max " + std::to_string(pa.r_max) +
+                                     " vs " + std::to_string(pb.r_max));
+    if (pa.big_r_max != pb.big_r_max)
+        return fail("provision", "R_max differs");
+    if (pa.objective != pb.objective)
+        return fail("provision", "objective " + std::to_string(pa.objective) +
+                                     " vs " + std::to_string(pb.objective));
+    if (pa.mip_nodes != pb.mip_nodes ||
+        pa.simplex_iterations != pb.simplex_iterations ||
+        pa.lp_factorizations != pb.lp_factorizations ||
+        pa.warm_started_nodes != pb.warm_started_nodes)
+        return fail("provision",
+                    "solver work differs (nodes " +
+                        std::to_string(pa.mip_nodes) + " vs " +
+                        std::to_string(pb.mip_nodes) + ", iterations " +
+                        std::to_string(pa.simplex_iterations) + " vs " +
+                        std::to_string(pb.simplex_iterations) + ")");
     return std::nullopt;
 }
 
@@ -856,55 +796,6 @@ std::optional<std::string> check_solvers(
                             "objective " + std::to_string(colgen.objective) +
                                 " vs full " +
                                 std::to_string(exact.objective));
-        }
-    }
-
-    // Warm-started re-solve of the same encoding must land on the cold
-    // optimum exactly (the engine's bandwidth fast path depends on it).
-    core::Mip_encoding encoding =
-        core::encode_provisioning(topo, requests, options.heuristic);
-    lp::Basis basis;
-    const core::Provision_result cold = core::solve_encoding(
-        topo, requests, encoding, options.mip, nullptr, &basis);
-    // A node-limit-truncated branch & bound keeps an exploration-order-
-    // dependent incumbent; warm-vs-cold equality is only a theorem for
-    // solves that ran to completion.
-    if (cold.mip_nodes >= options.mip.max_nodes) return std::nullopt;
-    if (!basis.empty()) {
-        const core::Provision_result warm = core::solve_encoding(
-            topo, requests, encoding, options.mip, &basis, nullptr);
-        if (warm.mip_nodes >= options.mip.max_nodes) return std::nullopt;
-        if (cold.feasible != warm.feasible)
-            return fail("warm-vs-cold", "feasibility differs");
-        if (cold.feasible) {
-            if (cold.paths.size() != warm.paths.size())
-                return fail("warm-vs-cold", "path count differs");
-            // Exact jitter-sum ties between optimal vertices are legal here
-            // exactly as in describe_difference: the warm solve may stop on
-            // the other optimum, so path (and hence maxima) divergence is
-            // accepted only as a proven tie.
-            bool tied = false;
-            for (std::size_t i = 0; i < cold.paths.size(); ++i) {
-                if (!diff_path(cold.paths[i], warm.paths[i], "")) continue;
-                const ir::PathPtr* expression = nullptr;
-                for (const Statement_spec& spec : statements)
-                    if (spec.stmt.id == cold.paths[i].id)
-                        expression = &spec.stmt.path;
-                if (expression == nullptr ||
-                    !proven_tie(cold.paths[i], warm.paths[i], *expression,
-                                topo))
-                    return diff_path(cold.paths[i], warm.paths[i],
-                                     "warm-vs-cold path");
-                tied = true;
-            }
-            if (!tied) {
-                if (cold.r_max != warm.r_max)
-                    return fail("warm-vs-cold",
-                                "r_max " + std::to_string(cold.r_max) +
-                                    " vs " + std::to_string(warm.r_max));
-                if (cold.big_r_max != warm.big_r_max)
-                    return fail("warm-vs-cold", "R_max differs");
-            }
         }
     }
     return std::nullopt;

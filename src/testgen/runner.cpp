@@ -276,8 +276,7 @@ Run_result run_daemon_scenario(const Scenario& scenario,
             return report(step, "engine-vs-batch",
                           std::string("batch compile threw: ") + e.what());
         }
-        if (auto d = describe_difference(snap.compilation, fresh,
-                                         reference_topo, scenario.options))
+        if (auto d = describe_difference(snap.compilation, fresh))
             return report(step, "engine-vs-batch", *d);
         if (auto d = check_capacity(snap.topology, snap.compilation.provision))
             return report(step, "capacity", *d);
@@ -432,8 +431,7 @@ Run_result run_scenario(const Scenario& scenario, const Run_options& options) {
             return report("engine-vs-batch",
                           std::string("batch compile threw: ") + e.what());
         }
-        if (auto d = describe_difference(engine->current(), fresh,
-                                         reference_topo, scenario.options))
+        if (auto d = describe_difference(engine->current(), fresh))
             return report("engine-vs-batch", *d);
         if (auto d =
                 check_capacity(engine->topology(), engine->current().provision))

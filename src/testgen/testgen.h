@@ -10,8 +10,9 @@
 // *cross-layer oracles* at every step:
 //
 //   * engine ≡ batch   — the engine's published Compilation equals a
-//     from-scratch core::compile() of the model (the PR-4 invariant,
-//     generalized from 10 hand-written cases to arbitrary traces);
+//     from-scratch core::compile() of the model exactly, solver work
+//     counters included (the engine_test invariant, generalized from
+//     hand-written cases to arbitrary traces);
 //   * capacity         — provisioned paths never oversubscribe a link,
 //     never cross a failed link, and agree with the reported maxima;
 //   * routes           — sink-tree walks are real physical paths accepted
@@ -23,9 +24,8 @@
 //     and deliver every pinned best-effort statement;
 //   * solver cross-checks — greedy feasibility implies exact-MIP
 //     feasibility (never the reverse: the greedy provisioner is allowed to
-//     miss), a proved-infeasible MIP refutes the greedy solver, and a
-//     warm-started re-solve of the same encoding reproduces the cold
-//     optimum exactly.
+//     miss), a proved-infeasible MIP refutes the greedy solver, and column
+//     generation reaches the full encoding's verdict.
 //
 // Scenarios are value types: serializable to a line-based repro file that
 // parses back to an equal scenario (replays are deterministic), and
@@ -166,25 +166,15 @@ struct Gen_options {
 // of the first violation.
 
 // Field-by-field equality of two compilations (feasibility, diagnostics,
-// plans, provisioned paths, class NFAs, sink trees, provisioning maxima) —
-// the engine-vs-batch comparator, as a value instead of gtest assertions.
-//
-// Two deliberate tolerances, both found by the fuzzer itself:
-//  * MIP-provisioned paths may differ between a warm-started and a cold
-//    solve when two optimal vertices tie *exactly* (the tie-break jitters
-//    are integer multiples of one quantum, so distinct edge subsets can
-//    collide — e.g. two symmetric backbone detours). Such a divergence is
-//    accepted only as a *proven tie*: same rate, same word and link
-//    lengths (anything longer costs a full epsilon more), same endpoints
-//    and function multiset, and the word still satisfies the statement's
-//    path expression. Everything else stays exact.
-//  * When either side's branch & bound hit `options.mip.max_nodes`, the
-//    incumbent depends on exploration order (warm and cold orders differ
-//    legitimately), so a truncated comparison is skipped outright — the
-//    capacity/routes/codegen oracles still pin the engine's own state.
+// plans, provisioned paths, class NFAs, sink trees, provisioning maxima,
+// objective and solver work counters) — the engine-vs-batch comparator, as
+// a value instead of gtest assertions. It has no tolerance: the engine
+// keeps no solver state, so both sides run the same deterministic cold
+// solve on the same encoding — under the same options even an exact tie
+// between two optimal path sets, or a node-limit-truncated search,
+// resolves identically.
 [[nodiscard]] std::optional<std::string> describe_difference(
-    const core::Compilation& engine, const core::Compilation& fresh,
-    const topo::Topology& topo, const core::Compile_options& options);
+    const core::Compilation& engine, const core::Compilation& fresh);
 
 // Link-capacity discipline of the provisioned paths: per-occurrence charge
 // never exceeds a link's capacity, no path crosses a failed link, and
@@ -217,8 +207,9 @@ struct Gen_options {
 
 // Solver cross-checks over the scenario's current guaranteed statements:
 // greedy-feasible => MIP-feasible, MIP proven-infeasible => greedy fails,
-// both solutions respect capacities, and a warm-started re-solve of the
-// same encoding reproduces the cold objective and paths exactly.
+// both solutions respect capacities, and column generation reaches the
+// full encoding's verdict (same proven infeasibility, or a capacity-clean
+// objective match).
 [[nodiscard]] std::optional<std::string> check_solvers(
     const topo::Topology& topo,
     const std::vector<Statement_spec>& statements,

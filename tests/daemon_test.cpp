@@ -125,8 +125,7 @@ void expect_serves(const Controller& ctl, const ir::Policy& policy,
     EXPECT_EQ(snap->checksum, daemon::snapshot_fingerprint(*snap));
     const core::Compilation fresh =
         core::compile(policy, topo, mip_options());
-    const auto diff = testgen::describe_difference(snap->compilation, fresh,
-                                                   topo, mip_options());
+    const auto diff = testgen::describe_difference(snap->compilation, fresh);
     EXPECT_FALSE(diff) << *diff;
 }
 

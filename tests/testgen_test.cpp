@@ -198,14 +198,13 @@ TEST(Oracles, DescribeDifferenceFlagsRateDrift) {
 
     const core::Compilation a =
         core::compile(testgen::initial_policy(scenario), t, scenario.options);
-    EXPECT_FALSE(
-        testgen::describe_difference(a, a, t, scenario.options).has_value());
+    EXPECT_FALSE(testgen::describe_difference(a, a).has_value());
 
     Scenario skewed = scenario;
     skewed.statements[0].guarantee += bits_per_sec(1);
     const core::Compilation b =
         core::compile(testgen::initial_policy(skewed), t, scenario.options);
-    const auto diff = testgen::describe_difference(a, b, t, scenario.options);
+    const auto diff = testgen::describe_difference(a, b);
     ASSERT_TRUE(diff.has_value());
     EXPECT_NE(diff->find("guarantee"), std::string::npos) << *diff;
 }

@@ -193,8 +193,7 @@ int replay_updates(merlin::core::Engine& engine, const std::string& script,
                   << "+" << w.automata_cache_hits << " cached, logical "
                   << w.logical_builds << ", trees " << w.trees_built << "+"
                   << w.tree_cache_hits << " cached, lp " << w.lp_encodings
-                  << " enc/" << w.lp_patches << " patch, solves "
-                  << w.solves << (update.warm_started ? " warm" : "") << ")";
+                  << " enc, solves " << w.solves << ")";
         if (!update.feasible) std::cout << " — " << update.diagnostic;
         std::cout << '\n';
         if (diffs != nullptr &&
@@ -218,9 +217,7 @@ int replay_updates(merlin::core::Engine& engine, const std::string& script,
               << t.automata_cache_hits << " hits logical="
               << t.logical_builds << " trees=" << t.trees_built << " built/"
               << t.tree_cache_hits << " hits lp=" << t.lp_encodings
-              << " encodings/" << t.lp_patches << " patches solves="
-              << t.solves << " (" << t.warm_started_solves
-              << " warm-started)\n";
+              << " encodings solves=" << t.solves << '\n';
     return count;
 }
 

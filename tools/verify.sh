@@ -21,9 +21,8 @@
 #     a smoke check, refreshing the tracked perf datapoints
 #     BENCH_solver.json (per solver mode — full/colgen — wall-clock,
 #     simplex iterations, B&B nodes, colgen rounds/columns, fallbacks),
-#     BENCH_compile.json (front-end timing breakdown per class count),
-#     BENCH_adaptation.json (incremental engine delta latency vs full
-#     recompile, per delta kind) and BENCH_policy_scale.json (shared
+#     BENCH_compile.json (front-end timing breakdown per class count)
+#     and BENCH_policy_scale.json (shared
 #     predicate-DAG build/classify throughput and classify-rule dedup at
 #     10^5 statements, with the sharing invariants asserted in-bench);
 #     committing the refreshed files each PR makes git history the perf
@@ -99,9 +98,6 @@ test -s BENCH_solver.json
 MERLIN_BENCH_TINY=1 MERLIN_BENCH_JSON="$PWD/BENCH_compile.json" \
     ./build-release/bench/bench_scaling
 test -s BENCH_compile.json
-MERLIN_BENCH_TINY=1 MERLIN_BENCH_JSON="$PWD/BENCH_adaptation.json" \
-    ./build-release/bench/bench_adaptation
-test -s BENCH_adaptation.json
 # Predicate sharing at scale: the bench itself asserts compiles <= distinct
 # predicates and a >=2x classify-rule dedup, so a sharing regression fails
 # the leg rather than just shifting a datapoint.
