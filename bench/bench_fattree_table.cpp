@@ -14,8 +14,8 @@
 // fallback.
 //
 // When MERLIN_BENCH_JSON names a file, the same rows are emitted as
-// machine-readable JSON so CI can archive the solver perf trajectory
-// (tools/verify.sh writes BENCH_solver.json).
+// machine-readable JSON (tools/verify.sh writes BENCH_solver.json under
+// build-release/).
 //
 // Scaling note: the paper drove Gurobi to ~230k classes / 11.5k guaranteed
 // on server hardware; our self-contained simplex is exercised on scaled

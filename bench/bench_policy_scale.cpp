@@ -13,9 +13,9 @@
 //     same BDD emit one classify rule — asserted >= 2x fewer than naive;
 //   * compile memory: live BDD nodes, DAG nodes, and peak RSS.
 //
-// MERLIN_BENCH_JSON=<path> archives the rows (CI keeps
-// BENCH_policy_scale.json); MERLIN_BENCH_TINY=1 restricts the sweep to the
-// smallest instance for the smoke leg. Exits non-zero if an assertion
+// MERLIN_BENCH_JSON=<path> writes the rows as JSON (tools/verify.sh
+// writes build-release/BENCH_policy_scale.json); MERLIN_BENCH_TINY=1
+// restricts the sweep to the smallest instance for the smoke leg. Exits non-zero if an assertion
 // fails, so CI catches sharing regressions, not just slowdowns.
 #include <sys/resource.h>
 

@@ -10,10 +10,10 @@
 // shapes — near-linear rateless growth, super-linear MIP growth — are the
 // reproduction target.
 //
-// The fat-tree all-pairs sweep (c) is also the front-end perf trajectory:
-// when MERLIN_BENCH_JSON names a file, its rows are emitted as JSON
-// (classes, preprocess/lp_construction/rateless ms, threads) so CI can
-// archive BENCH_compile.json; MERLIN_BENCH_TINY restricts every sweep to
+// When MERLIN_BENCH_JSON names a file, the fat-tree all-pairs sweep (c)
+// also emits its rows as JSON (classes, preprocess/lp_construction/
+// rateless ms, threads); tools/verify.sh writes BENCH_compile.json under
+// build-release/. MERLIN_BENCH_TINY restricts every sweep to
 // its two smallest instances for the smoke check. MERLIN_THREADS controls
 // the front-end thread count under test.
 #include <algorithm>

@@ -1,9 +1,10 @@
 #include "daemon/daemon.h"
 
 #include <algorithm>
-#include <cctype>
+#include <charconv>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <thread>
 #include <utility>
@@ -13,6 +14,7 @@
 #include "negotiator/negotiator.h"
 #include "parser/parser.h"
 #include "util/error.h"
+#include "util/strings.h"
 
 namespace merlin::daemon {
 
@@ -32,20 +34,21 @@ std::vector<std::string> tokenize(const std::string& text) {
     return tokens;
 }
 
-// "<n>" (whole Mbps) or "<n>bps" (exact bits/sec); throws on anything else.
+// "<n>" (whole Mbps) or "<n>bps" (exact bits/sec); throws on anything else,
+// including a rate whose bits/sec do not fit 64 bits.
 Bandwidth parse_rate(const std::string& text) {
-    std::string digits = text;
-    bool exact = false;
-    if (digits.size() > 3 && digits.ends_with("bps")) {
-        digits.resize(digits.size() - 3);
-        exact = true;
-    }
-    if (digits.empty() ||
-        !std::all_of(digits.begin(), digits.end(),
-                     [](unsigned char c) { return std::isdigit(c) != 0; }))
+    std::string_view digits = text;
+    const bool exact = digits.size() > 3 && digits.ends_with("bps");
+    if (exact) digits.remove_suffix(3);
+    const std::uint64_t scale = exact ? 1 : 1'000'000;
+    std::uint64_t value = 0;
+    const auto [end, error] =
+        std::from_chars(digits.data(), digits.data() + digits.size(), value);
+    if (digits.empty() || error != std::errc() ||
+        end != digits.data() + digits.size() ||
+        value > std::numeric_limits<std::uint64_t>::max() / scale)
         throw Error("malformed rate (expected <Mbps> or <n>bps): " + text);
-    const std::uint64_t value = std::stoull(digits);
-    return exact ? bits_per_sec(value) : mbps(value);
+    return bits_per_sec(value * scale);
 }
 
 std::string format_rate(Bandwidth rate) {
@@ -147,6 +150,7 @@ Command parse_command(const std::string& line) {
         cmd.error = "empty control line";
         return cmd;
     }
+    cmd.text = join(tokens, " ");
     const std::string& verb = tokens[0];
     try {
         if (verb == "add") {
@@ -205,12 +209,20 @@ Command parse_command(const std::string& line) {
         } else if (verb == "gen" && tokens.size() == 1) {
             cmd.kind = Command::Kind::generation;
         } else if (verb == "drain" && tokens.size() <= 2) {
-            if (tokens.size() == 2)
-                cmd.drain_timeout = std::chrono::milliseconds(
-                    std::stoll(tokens[1]));
+            if (tokens.size() == 2) {
+                const std::optional<long long> ms = parse_whole_int(tokens[1]);
+                if (!ms || *ms < 0)
+                    throw Error("drain expects whole milliseconds >= 0: " +
+                                tokens[1]);
+                cmd.drain_timeout = std::chrono::milliseconds(*ms);
+            }
             cmd.kind = Command::Kind::drain;
         } else if (verb == "release" && tokens.size() == 2) {
-            cmd.target_stream = std::stoi(tokens[1]);
+            const std::optional<long long> stream = parse_whole_int(tokens[1]);
+            if (!stream || *stream < std::numeric_limits<int>::min() ||
+                *stream > std::numeric_limits<int>::max())
+                throw Error("release expects a stream number: " + tokens[1]);
+            cmd.target_stream = static_cast<int>(*stream);
             cmd.kind = Command::Kind::release;
         } else if (verb == "shutdown" && tokens.size() == 1) {
             cmd.kind = Command::Kind::shutdown;
@@ -272,48 +284,27 @@ std::string format_command(const Command& command) {
     return "# invalid command";
 }
 
-// ----------------------------------------------------------------- controller
-
-Controller::Controller(const ir::Policy& policy, const topo::Topology& topo,
-                       core::Compile_options compile_options, Options options)
-    : options_(std::move(options)),
-      compile_options_(compile_options),
-      engine_(policy, topo, compile_options),
-      jitter_state_(options_.jitter_seed) {
-    // Startup gates: the daemon must not begin serving a state it would
-    // refuse as an update. (An infeasible initial compile is served as-is —
-    // merlinc parity — with gates deferred until the first feasible state.)
-    auto first = std::make_shared<Snapshot>();
-    first->generation = 1;
-    first->compilation = engine_.current();
-    first->topology = engine_.topology();
-    if (engine_.current().feasible) {
-        if (options_.lint_policies) {
-            const analysis::Report report =
-                analysis::lint_policy(engine_.policy(), engine_.topology());
-            if (analysis::has_errors(report))
-                throw Error("initial policy fails lint: " +
-                            first_error(report));
-        }
-        if (options_.verify_updates) {
-            const analysis::Report report =
-                checker_.step(engine_.current(), engine_.topology(), true);
-            if (analysis::has_errors(report))
-                throw Error("initial policy fails verification: " +
-                            first_error(report));
-            first->config = checker_.config();
-        } else {
-            (void)incremental_.update(engine_.current(), engine_.topology());
-            first->config = incremental_.config();
-        }
+bool is_delta(Command::Kind kind) {
+    switch (kind) {
+        case Command::Kind::add:
+        case Command::Kind::remove:
+        case Command::Kind::bandwidth:
+        case Command::Kind::fail:
+        case Command::Kind::restore:
+        case Command::Kind::redistribute:
+            return true;
+        default:
+            return false;
     }
-    first->checksum = snapshot_fingerprint(*first);
-    slot_ = std::move(first);
-    serving_generation_.store(1, std::memory_order_release);
 }
 
-Response Controller::apply_line(const std::string& line, int stream) {
-    return apply(parse_command(line), stream);
+Command read_delta(const std::string& line) {
+    Command command = parse_command(line);
+    if (command.text.empty() || is_delta(command.kind)) return command;
+    throw Error("malformed update command: " + command.text + " (" +
+                (command.kind == Command::Kind::invalid ? command.error
+                                                        : "not a delta") +
+                ")");
 }
 
 namespace {
@@ -321,9 +312,8 @@ namespace {
 // The negotiator-mediated redistribute (paper §4.3): wrap the engine's
 // current statements in a pooled-cap envelope, adopt the current division
 // as its refinement, then re-divide by demand — every adopted change lands
-// in the engine as cap-only set_bandwidth deltas. Throws on rejection; the
-// surrounding transaction rolls the engine back.
-core::Update_result apply_redistribute(
+// in the engine as cap-only set_bandwidth deltas. Throws on rejection.
+core::Update_result redistribute(
     core::Engine& engine,
     const std::vector<std::pair<std::string, Bandwidth>>& demands) {
     const ir::Policy active = engine.policy();
@@ -370,55 +360,87 @@ core::Update_result apply_redistribute(
     return result;
 }
 
+// The command's verb, which is also its Response kind.
+const char* verb(Command::Kind kind) {
+    switch (kind) {
+        case Command::Kind::add: return "add";
+        case Command::Kind::remove: return "remove";
+        case Command::Kind::bandwidth: return "bandwidth";
+        case Command::Kind::fail: return "fail";
+        case Command::Kind::restore: return "restore";
+        case Command::Kind::redistribute: return "redistribute";
+        case Command::Kind::reload: return "reload";
+        case Command::Kind::stats: return "stats";
+        case Command::Kind::generation: return "gen";
+        case Command::Kind::drain: return "drain";
+        case Command::Kind::release: return "release";
+        case Command::Kind::shutdown: return "shutdown";
+        case Command::Kind::invalid: break;
+    }
+    return "parse";
+}
+
+std::string quarantine_notice(int stream) {
+    return "stream " + std::to_string(stream) +
+           " is quarantined (send `release " + std::to_string(stream) +
+           "` to resume)";
+}
+
 }  // namespace
+
+core::Update_result apply_delta(core::Engine& engine, const Command& command) {
+    switch (command.kind) {
+        case Command::Kind::add:
+            return engine.add_statement(command.stmt, command.guarantee,
+                                        command.cap);
+        case Command::Kind::remove:
+            return engine.remove_statement(command.id);
+        case Command::Kind::bandwidth:
+            return engine.set_bandwidth(command.id, command.guarantee,
+                                        command.cap);
+        case Command::Kind::fail:
+            return engine.fail_link(command.node_a, command.node_b);
+        case Command::Kind::restore:
+            return engine.restore_link(command.node_a, command.node_b);
+        case Command::Kind::redistribute:
+            return redistribute(engine, command.demands);
+        default:
+            break;
+    }
+    throw Error(std::string("not a delta command: ") + verb(command.kind));
+}
+
+// ----------------------------------------------------------------- controller
+
+Controller::Controller(const ir::Policy& policy, const topo::Topology& topo,
+                       core::Compile_options compile_options, Options options)
+    : options_(std::move(options)),
+      compile_options_(compile_options),
+      engine_(policy, topo, compile_options),
+      jitter_state_(options_.jitter_seed) {
+    // Startup gates: the daemon must not begin serving a state it would
+    // refuse as an update. (An infeasible initial compile is served as-is —
+    // merlinc parity — with gates deferred until the first feasible state.)
+    if (const std::optional<Refused> refused =
+            gate_and_publish(engine_, true, {}))
+        throw Error(std::string("initial policy refused (") +
+                    to_string(refused->code) + "): " + refused->reason);
+}
+
+Response Controller::apply_line(const std::string& line, int stream) {
+    return apply(parse_command(line), stream);
+}
 
 Response Controller::apply(const Command& command, int stream) {
     std::lock_guard<std::mutex> lock(mutex_);
     const Clock::time_point start = Clock::now();
-    // Every command — delta, admin, or unparsable — consumes one fault
-    // step, so plans anchor to the line position in the control stream.
-    const int step = command_step_++;
+    const Step_faults faults = next_step();
+    if (is_delta(command.kind))
+        return transact(command, stream, faults, start);
+    Response resp;
+    resp.kind = verb(command.kind);
     switch (command.kind) {
-        case Command::Kind::add:
-            return transact("add", stream, false, step,
-                            [&](core::Engine& engine) {
-                                return engine.add_statement(command.stmt,
-                                                            command.guarantee,
-                                                            command.cap);
-                            });
-        case Command::Kind::remove:
-            return transact("remove", stream, false, step,
-                            [&](core::Engine& engine) {
-                                return engine.remove_statement(command.id);
-                            });
-        case Command::Kind::bandwidth:
-            return transact("bandwidth", stream, false, step,
-                            [&](core::Engine& engine) {
-                                return engine.set_bandwidth(command.id,
-                                                            command.guarantee,
-                                                            command.cap);
-                            });
-        case Command::Kind::fail:
-            return transact("fail", stream, true, step,
-                            [&](core::Engine& engine) {
-                                return engine.fail_link(command.node_a,
-                                                        command.node_b);
-                            });
-        case Command::Kind::restore:
-            return transact("restore", stream, true, step,
-                            [&](core::Engine& engine) {
-                                return engine.restore_link(command.node_a,
-                                                           command.node_b);
-                            });
-        case Command::Kind::redistribute:
-            return transact("redistribute", stream, false, step,
-                            [&](core::Engine& engine) {
-                                return apply_redistribute(engine,
-                                                          command.demands);
-                            });
         case Command::Kind::reload: {
-            Response resp;
-            resp.kind = "reload";
             std::ifstream in(command.path);
             if (!in)
                 return refuse(std::move(resp), Refusal::argument,
@@ -433,14 +455,14 @@ Response Controller::apply(const Command& command, int stream) {
                 return refuse(std::move(resp), Refusal::argument, e.what(),
                               stream, start);
             }
-            return reload_locked(policy, stream, step, start);
+            return reload_locked(policy, stream, faults, start);
         }
+        case Command::Kind::invalid:
+            return refuse(std::move(resp), Refusal::parse,
+                          command.error.empty() ? "malformed control line"
+                                                : command.error,
+                          stream, start);
         case Command::Kind::stats: {
-            Response resp;
-            resp.kind = "stats";
-            resp.ok = true;
-            resp.generation =
-                serving_generation_.load(std::memory_order_relaxed);
             const std::shared_ptr<const Snapshot> snap = snapshot();
             resp.detail =
                 "accepted=" + std::to_string(stats_.accepted) +
@@ -452,255 +474,125 @@ Response Controller::apply(const Command& command, int stream) {
                 " statements=" +
                 std::to_string(snap->compilation.plans.size()) +
                 " rules=" + std::to_string(snap->config.total_instructions());
-            resp.ms = ms_since(start);
-            return resp;
+            break;
         }
-        case Command::Kind::generation: {
-            Response resp;
-            resp.kind = "gen";
-            resp.ok = true;
-            resp.generation =
-                serving_generation_.load(std::memory_order_relaxed);
-            resp.ms = ms_since(start);
-            return resp;
-        }
-        case Command::Kind::drain: {
-            Response resp;
-            resp.kind = "drain";
-            resp.ok = true;
+        case Command::Kind::drain:
             resp.drained = drain_locked(command.drain_timeout);
-            resp.generation =
-                serving_generation_.load(std::memory_order_relaxed);
-            resp.ms = ms_since(start);
-            return resp;
-        }
-        case Command::Kind::release: {
-            Response resp;
-            resp.kind = "release";
-            resp.ok = true;
+            break;
+        case Command::Kind::release:
             quarantined_.erase(command.target_stream);
             failures_.erase(command.target_stream);
-            resp.generation =
-                serving_generation_.load(std::memory_order_relaxed);
-            resp.ms = ms_since(start);
-            return resp;
-        }
-        case Command::Kind::shutdown: {
-            Response resp;
-            resp.kind = "shutdown";
-            resp.ok = true;
-            resp.generation =
-                serving_generation_.load(std::memory_order_relaxed);
-            resp.ms = ms_since(start);
-            return resp;
-        }
-        case Command::Kind::invalid:
+            break;
+        default:  // gen, shutdown: the generation is the whole answer
             break;
     }
-    Response resp;
-    resp.kind = "parse";
-    return refuse(std::move(resp), Refusal::parse,
-                  command.error.empty() ? "malformed control line"
-                                        : command.error,
-                  stream, start);
+    resp.ok = true;
+    resp.generation = serving_generation_.load(std::memory_order_relaxed);
+    resp.ms = ms_since(start);
+    return resp;
 }
 
 Response Controller::reload(const ir::Policy& policy, int stream) {
     std::lock_guard<std::mutex> lock(mutex_);
-    return reload_locked(policy, stream, command_step_++, Clock::now());
+    const Clock::time_point start = Clock::now();
+    return reload_locked(policy, stream, next_step(), start);
 }
 
-Response Controller::transact(
-    const char* kind, int stream, bool link_delta, int step,
-    const std::function<core::Update_result(core::Engine&)>& apply_delta) {
-    const Clock::time_point start = Clock::now();
-    Response resp;
-    resp.kind = kind;
-    if (quarantined_.contains(stream))
-        return refuse(std::move(resp), Refusal::quarantined,
-                      "stream " + std::to_string(stream) +
-                          " is quarantined (send `release " +
-                          std::to_string(stream) + "` to resume)",
-                      stream, start, /*stream_fault=*/false);
-
-    int timeout_attempts = 0;
-    bool crash_before = false;
-    bool crash_between = false;
-    for (const Fault_event& event : faults_.at(step)) {
+Controller::Step_faults Controller::next_step() {
+    // Every command — delta, admin, or unparsable — consumes one fault
+    // step, so plans anchor to the line position in the control stream.
+    Step_faults faults;
+    for (const Fault_event& event : faults_.at(command_step_++)) {
         switch (event.kind) {
             case Fault_kind::solver_timeout:
-                timeout_attempts = std::max(timeout_attempts, event.count);
+                faults.solver_timeouts =
+                    std::max(faults.solver_timeouts, event.count);
                 break;
             case Fault_kind::crash_before_publish:
-                crash_before = true;
+                faults.crash_before_publish = true;
                 break;
             case Fault_kind::crash_between_prepare_and_commit:
-                crash_between = true;
+                faults.crash_before_commit = true;
                 break;
             default:
                 break;
         }
     }
+    return faults;
+}
+
+Response Controller::transact(const Command& command, int stream,
+                              const Step_faults& faults,
+                              Clock::time_point start) {
+    Response resp;
+    resp.kind = verb(command.kind);
+    if (quarantined_.contains(stream))
+        return refuse(std::move(resp), Refusal::quarantined,
+                      quarantine_notice(stream), stream, start);
 
     const int saved_limit = engine_.mip_node_limit();
     const analysis::Update_checker checker_backup = checker_;
     const codegen::Incremental incremental_backup = incremental_;
     core::Engine::Checkpoint saved;
-    int attempt = 0;
-    for (;;) {
-        ++attempt;
-        resp.attempts = attempt;
-        saved = engine_.checkpoint();
-        // Timeout injection clamps the node budget for the first `count`
-        // attempts; genuine retries escalate it instead.
-        if (attempt <= timeout_attempts) {
-            engine_.set_mip_node_limit(1);
-        } else if (attempt > 1) {
-            long long budget = std::max(saved_limit, 1);
-            for (int i = 1; i < attempt; ++i)
-                budget = std::min<long long>(
-                    budget * options_.retry_node_limit_factor, 1000000000LL);
-            engine_.set_mip_node_limit(static_cast<int>(budget));
-        }
-        core::Update_result result;
-        try {
-            result = apply_delta(engine_);
-        } catch (const std::exception& e) {
-            // Engine delta ops are strongly exception safe: nothing moved.
-            engine_.set_mip_node_limit(saved_limit);
-            return refuse(std::move(resp), Refusal::argument, e.what(),
-                          stream, start);
-        }
-        engine_.set_mip_node_limit(saved_limit);
-        // An injected timeout discards the attempt's outcome wholesale —
-        // even a feasible answer "arrived too late" — so the retry path is
-        // exercised deterministically on any topology.
-        const bool injected_timeout = attempt <= timeout_attempts;
-        if (result.feasible && !injected_timeout) break;
-        // Truncated search (node limit hit, nothing proved) is transient;
-        // a proven infeasibility is permanent.
-        const bool transient =
-            injected_timeout ||
-            (result.solver_run &&
-             !engine_.current().provision.proven_infeasible);
-        if (injected_timeout) result.diagnostic = "injected solver timeout";
+    std::optional<Refused> refused;
+    try {
+        refused = until_feasible(
+            resp, saved_limit, faults,
+            [&](int budget) {
+                saved = engine_.checkpoint();
+                engine_.set_mip_node_limit(budget);
+                core::Update_result result;
+                try {
+                    result = apply_delta(engine_, command);
+                } catch (...) {
+                    engine_.set_mip_node_limit(saved_limit);
+                    throw;
+                }
+                engine_.set_mip_node_limit(saved_limit);
+                // Truncated search (node limit hit, nothing proved) is
+                // transient; a proven infeasibility is permanent.
+                return Attempt{
+                    result.feasible,
+                    result.solver_run &&
+                        !engine_.current().provision.proven_infeasible,
+                    result.diagnostic};
+            },
+            [&] { engine_.restore(saved); });
+    } catch (const std::exception& e) {
+        // Engine delta ops are strongly exception safe: nothing moved.
+        return refuse(std::move(resp), Refusal::argument, e.what(), stream,
+                      start);
+    }
+    if (refused)
+        return refuse(std::move(resp), refused->code,
+                      std::move(refused->reason), stream, start);
+
+    const bool link_delta = command.kind == Command::Kind::fail ||
+                            command.kind == Command::Kind::restore;
+    if (std::optional<Refused> gated =
+            gate_and_publish(engine_, !link_delta, faults)) {
         engine_.restore(saved);
-        if (transient && attempt <= options_.max_retries) {
-            ++stats_.retries;
-            sleep_for(backoff_delay(attempt));
-            continue;
-        }
-        return refuse(std::move(resp),
-                      transient ? Refusal::timeout : Refusal::infeasible,
-                      result.diagnostic.empty() ? "provisioning failed"
-                                                : result.diagnostic,
+        checker_ = checker_backup;
+        incremental_ = incremental_backup;
+        return refuse(std::move(resp), gated->code, std::move(gated->reason),
                       stream, start);
     }
-
-    // Gates on the candidate (the slot still serves the old snapshot).
-    if (options_.lint_policies) {
-        const analysis::Report report =
-            analysis::lint_policy(engine_.policy(), engine_.topology());
-        if (analysis::has_errors(report)) {
-            engine_.restore(saved);
-            return refuse(std::move(resp), Refusal::lint, first_error(report),
-                          stream, start);
-        }
-    }
-    codegen::Configuration config;
-    if (options_.verify_updates) {
-        analysis::Report report;
-        try {
-            report =
-                checker_.step(engine_.current(), engine_.topology(),
-                              !link_delta);
-        } catch (const std::exception& e) {
-            engine_.restore(saved);
-            checker_ = checker_backup;
-            return refuse(std::move(resp), Refusal::verify, e.what(), stream,
-                          start);
-        }
-        if (analysis::has_errors(report)) {
-            engine_.restore(saved);
-            checker_ = checker_backup;
-            return refuse(std::move(resp), Refusal::verify,
-                          first_error(report), stream, start);
-        }
-        config = checker_.config();
-    } else {
-        (void)incremental_.update(engine_.current(), engine_.topology());
-        config = incremental_.config();
-    }
-
-    if (crash_before) {
-        engine_.restore(saved);
-        checker_ = checker_backup;
-        incremental_ = incremental_backup;
-        ++stats_.crashes;
-        return refuse(std::move(resp), Refusal::crash,
-                      "injected crash before publish; last-good snapshot "
-                      "recovered",
-                      stream, start, /*stream_fault=*/false);
-    }
-
-    // Prepare: build the complete snapshot off the serving path...
-    auto next = std::make_shared<Snapshot>();
-    next->generation =
-        serving_generation_.load(std::memory_order_relaxed) + 1;
-    next->compilation = engine_.current();
-    next->topology = engine_.topology();
-    next->config = std::move(config);
-    next->checksum = snapshot_fingerprint(*next);
-
-    if (crash_between) {
-        engine_.restore(saved);
-        checker_ = checker_backup;
-        incremental_ = incremental_backup;
-        ++stats_.crashes;
-        return refuse(std::move(resp), Refusal::crash,
-                      "injected crash between prepare and commit; last-good "
-                      "snapshot recovered",
-                      stream, start, /*stream_fault=*/false);
-    }
-
-    // ... then commit with one pointer swap: readers see old-complete or
-    // new-complete, never a blend.
-    resp.generation = next->generation;
-    publish_locked(std::move(next));
     ++stats_.accepted;
     failures_.erase(stream);
     resp.ok = true;
+    resp.generation = serving_generation_.load(std::memory_order_relaxed);
     resp.ms = ms_since(start);
     return resp;
 }
 
 Response Controller::reload_locked(const ir::Policy& policy, int stream,
-                                   int step, Clock::time_point start) {
+                                   const Step_faults& faults,
+                                   Clock::time_point start) {
     Response resp;
     resp.kind = "reload";
     if (quarantined_.contains(stream))
         return refuse(std::move(resp), Refusal::quarantined,
-                      "stream " + std::to_string(stream) + " is quarantined",
-                      stream, start, /*stream_fault=*/false);
-
-    int timeout_attempts = 0;
-    bool crash_before = false;
-    bool crash_between = false;
-    for (const Fault_event& event : faults_.at(step)) {
-        switch (event.kind) {
-            case Fault_kind::solver_timeout:
-                timeout_attempts = std::max(timeout_attempts, event.count);
-                break;
-            case Fault_kind::crash_before_publish:
-                crash_before = true;
-                break;
-            case Fault_kind::crash_between_prepare_and_commit:
-                crash_between = true;
-                break;
-            default:
-                break;
-        }
-    }
+                      quarantine_notice(stream), stream, start);
 
     const analysis::Update_checker checker_backup = checker_;
     const codegen::Incremental incremental_backup = incremental_;
@@ -708,122 +600,150 @@ Response Controller::reload_locked(const ir::Policy& policy, int stream,
     // the serving topology, link failures included) while the blue engine
     // keeps serving; nothing below mutates `engine_` until commit.
     std::optional<core::Engine> green;
-    int attempt = 0;
-    for (;;) {
-        ++attempt;
-        resp.attempts = attempt;
-        core::Compile_options copts = compile_options_;
-        if (attempt <= timeout_attempts) {
-            copts.mip.max_nodes = 1;
-        } else if (attempt > 1) {
-            long long budget = std::max(compile_options_.mip.max_nodes, 1);
-            for (int i = 1; i < attempt; ++i)
-                budget = std::min<long long>(
-                    budget * options_.retry_node_limit_factor, 1000000000LL);
-            copts.mip.max_nodes = static_cast<int>(budget);
-        }
-        green.reset();
-        try {
-            green.emplace(policy, engine_.topology(), copts);
-        } catch (const std::exception& e) {
-            return refuse(std::move(resp), Refusal::argument, e.what(),
-                          stream, start);
-        }
-        const bool injected_timeout = attempt <= timeout_attempts;
-        if (green->current().feasible && !injected_timeout) break;
-        const core::Provision_result& prov = green->current().provision;
-        const bool transient =
-            injected_timeout || (std::strcmp(prov.solver, "none") != 0 &&
-                                 !prov.proven_infeasible);
-        if (transient && attempt <= options_.max_retries) {
-            ++stats_.retries;
-            sleep_for(backoff_delay(attempt));
-            continue;
-        }
-        return refuse(std::move(resp),
-                      transient ? Refusal::timeout : Refusal::infeasible,
-                      injected_timeout ? "injected solver timeout"
-                                       : green->current().diagnostic,
+    std::optional<Refused> refused;
+    try {
+        refused = until_feasible(
+            resp, compile_options_.mip.max_nodes, faults,
+            [&](int budget) {
+                core::Compile_options options = compile_options_;
+                options.mip.max_nodes = budget;
+                green.reset();
+                green.emplace(policy, engine_.topology(), options);
+                const core::Provision_result& prov =
+                    green->current().provision;
+                return Attempt{green->current().feasible,
+                               std::strcmp(prov.solver, "none") != 0 &&
+                                   !prov.proven_infeasible,
+                               green->current().diagnostic};
+            },
+            {});
+    } catch (const std::exception& e) {
+        return refuse(std::move(resp), Refusal::argument, e.what(), stream,
+                      start);
+    }
+    if (refused)
+        return refuse(std::move(resp), refused->code,
+                      std::move(refused->reason), stream, start);
+
+    // The checker proves the two-phase transition from the serving tables
+    // to the green tables — blue/green cutover is per-packet consistent,
+    // not just eventually correct.
+    if (std::optional<Refused> gated = gate_and_publish(*green, true, faults)) {
+        checker_ = checker_backup;
+        incremental_ = incremental_backup;
+        return refuse(std::move(resp), gated->code, std::move(gated->reason),
                       stream, start);
     }
-
-    if (options_.lint_policies) {
-        const analysis::Report report =
-            analysis::lint_policy(green->policy(), green->topology());
-        if (analysis::has_errors(report))
-            return refuse(std::move(resp), Refusal::lint, first_error(report),
-                          stream, start);
-    }
-    codegen::Configuration config;
-    if (options_.verify_updates) {
-        // The checker proves the two-phase transition from the serving
-        // tables to the green tables — blue/green cutover is per-packet
-        // consistent, not just eventually correct.
-        analysis::Report report;
-        try {
-            report = checker_.step(green->current(), green->topology(), true);
-        } catch (const std::exception& e) {
-            checker_ = checker_backup;
-            return refuse(std::move(resp), Refusal::verify, e.what(), stream,
-                          start);
-        }
-        if (analysis::has_errors(report)) {
-            checker_ = checker_backup;
-            return refuse(std::move(resp), Refusal::verify,
-                          first_error(report), stream, start);
-        }
-        config = checker_.config();
-    } else {
-        (void)incremental_.update(green->current(), green->topology());
-        config = incremental_.config();
-    }
-
-    if (crash_before) {
-        checker_ = checker_backup;
-        incremental_ = incremental_backup;
-        ++stats_.crashes;
-        return refuse(std::move(resp), Refusal::crash,
-                      "injected crash before publish; green engine discarded",
-                      stream, start, /*stream_fault=*/false);
-    }
-    auto next = std::make_shared<Snapshot>();
-    next->generation =
-        serving_generation_.load(std::memory_order_relaxed) + 1;
-    next->compilation = green->current();
-    next->topology = green->topology();
-    next->config = std::move(config);
-    next->checksum = snapshot_fingerprint(*next);
-    if (crash_between) {
-        checker_ = checker_backup;
-        incremental_ = incremental_backup;
-        ++stats_.crashes;
-        return refuse(std::move(resp), Refusal::crash,
-                      "injected crash between prepare and commit; green "
-                      "engine discarded",
-                      stream, start, /*stream_fault=*/false);
-    }
-
     engine_ = std::move(*green);
-    resp.generation = next->generation;
-    publish_locked(std::move(next));
     ++stats_.accepted;
     ++stats_.reloads;
     failures_.erase(stream);
     resp.ok = true;
+    resp.generation = serving_generation_.load(std::memory_order_relaxed);
     resp.drained = drain_locked(options_.reload_drain_timeout);
     resp.ms = ms_since(start);
     return resp;
 }
 
+std::optional<Controller::Refused> Controller::until_feasible(
+    Response& response, int node_budget, const Step_faults& faults,
+    const std::function<Attempt(int)>& attempt,
+    const std::function<void()>& discard) {
+    for (int n = 1;; ++n) {
+        response.attempts = n;
+        // An injected timeout clamps the node budget to 1 and discards the
+        // attempt's outcome wholesale — even a feasible answer "arrived too
+        // late" — so the retry path is exercised deterministically on any
+        // topology. Genuine retries escalate the budget instead: a
+        // truncated search gets more room before the next verdict.
+        const bool injected_timeout = n <= faults.solver_timeouts;
+        long long budget = std::max(node_budget, 1);
+        for (int i = 1; i < n; ++i)
+            budget = std::min<long long>(
+                budget * options_.retry_node_limit_factor, 1000000000LL);
+        const Attempt outcome =
+            attempt(injected_timeout ? 1 : static_cast<int>(budget));
+        if (outcome.feasible && !injected_timeout) return std::nullopt;
+        if (discard) discard();
+        const bool transient = injected_timeout || outcome.transient;
+        if (transient && n <= options_.max_retries) {
+            ++stats_.retries;
+            sleep_for(backoff_delay(n));
+            continue;
+        }
+        return Refused{transient ? Refusal::timeout : Refusal::infeasible,
+                       injected_timeout       ? "injected solver timeout"
+                       : outcome.diagnostic.empty() ? "provisioning failed"
+                                                    : outcome.diagnostic};
+    }
+}
+
+std::optional<Controller::Refused> Controller::gate_and_publish(
+    const core::Engine& candidate, bool check_transition,
+    const Step_faults& faults) {
+    // Gates on the candidate (the slot still serves the old snapshot).
+    codegen::Configuration config;
+    if (candidate.current().feasible) {
+        if (options_.lint_policies) {
+            const analysis::Report report =
+                analysis::lint_policy(candidate.policy(), candidate.topology());
+            if (analysis::has_errors(report))
+                return Refused{Refusal::lint, first_error(report)};
+        }
+        if (options_.verify_updates) {
+            analysis::Report report;
+            try {
+                report = checker_.step(candidate.current(),
+                                       candidate.topology(), check_transition);
+            } catch (const std::exception& e) {
+                return Refused{Refusal::verify, e.what()};
+            }
+            if (analysis::has_errors(report))
+                return Refused{Refusal::verify, first_error(report)};
+            config = checker_.config();
+        } else {
+            (void)incremental_.update(candidate.current(),
+                                      candidate.topology());
+            config = incremental_.config();
+        }
+    }
+    if (faults.crash_before_publish)
+        return Refused{Refusal::crash,
+                       "injected crash before publish; last-good snapshot "
+                       "recovered"};
+
+    // Prepare: build the complete snapshot off the serving path...
+    auto next = std::make_shared<Snapshot>();
+    next->generation = serving_generation_.load(std::memory_order_relaxed) + 1;
+    next->compilation = candidate.current();
+    next->topology = candidate.topology();
+    next->config = std::move(config);
+    next->checksum = snapshot_fingerprint(*next);
+    if (faults.crash_before_commit)
+        return Refused{Refusal::crash,
+                       "injected crash between prepare and commit; last-good "
+                       "snapshot recovered"};
+
+    // ... then commit with one pointer swap: readers see old-complete or
+    // new-complete, never a blend.
+    publish_locked(std::move(next));
+    return std::nullopt;
+}
+
 Response Controller::refuse(Response response, Refusal code,
                             std::string reason, int stream,
-                            Clock::time_point start, bool stream_fault) {
+                            Clock::time_point start) {
     response.ok = false;
     response.code = code;
     response.detail = std::move(reason);
     response.generation = serving_generation_.load(std::memory_order_relaxed);
     response.ms = ms_since(start);
     ++stats_.refused;
+    if (code == Refusal::crash) ++stats_.crashes;
+    // A quarantined stream's refusals and injected crashes are not the
+    // stream's fault; every other refusal counts toward its quarantine.
+    const bool stream_fault =
+        code != Refusal::quarantined && code != Refusal::crash;
     if (stream_fault && options_.quarantine_after > 0) {
         const int failures = ++failures_[stream];
         if (failures >= options_.quarantine_after &&

@@ -100,7 +100,11 @@ struct Response {
     [[nodiscard]] std::string to_line() const;
 };
 
-// A parsed control line. Grammar (one command per line, '#' comments):
+// A parsed control line. This grammar is the one delta vocabulary of the
+// project: merlind's control channel, the `--updates` scripts of merlinc
+// and merlin-verify (which accept only the deltas), and merlin-fuzz's
+// daemon mode all go through parse_command. One command per line, '#'
+// comments:
 //
 //   add [min=<rate>] [max=<rate>] <id> : <predicate> -> <path>
 //   remove <id>
@@ -113,7 +117,9 @@ struct Response {
 //   release <stream>        # lift a quarantine
 //
 // Rates are whole Mbps, or exact bits/sec with a "bps" suffix (e.g. "12",
-// "12bps").
+// "12bps"); a rate that does not fit 64-bit bits/sec is malformed. The
+// first six commands are the deltas (is_delta); apply_delta maps them onto
+// core::Engine calls.
 struct Command {
     enum class Kind : std::uint8_t {
         add,
@@ -140,16 +146,35 @@ struct Command {
     std::string path;                   // reload: policy file
     int target_stream = -1;             // release
     std::chrono::milliseconds drain_timeout{100};  // drain
-    std::string error;                  // parse diagnostic when invalid
+    std::string text;   // the line as parsed: comment cut, tokens 1-spaced
+    std::string error;  // parse diagnostic when invalid
 };
 
 // Never throws: malformed input yields Kind::invalid with `error` set (the
 // daemon must survive a corrupted control channel). Blank/comment-only
-// lines also come back invalid, with an empty-line diagnostic.
+// lines also come back invalid, with an empty `text` and an empty-line
+// diagnostic.
 [[nodiscard]] Command parse_command(const std::string& line);
 // Wire form of a well-formed command; parse_command(format_command(c))
 // reproduces it (testgen renders its deltas through this).
 [[nodiscard]] std::string format_command(const Command& command);
+
+// True for the deltas: add, remove, bandwidth, fail, restore and
+// redistribute. Reload, queries and admin commands are not deltas.
+[[nodiscard]] bool is_delta(Command::Kind kind);
+
+// One line of a delta script (the `--updates` file of merlinc and
+// merlin-verify): a delta, or a blank/comment line (empty `text`). Throws
+// merlin::Error naming the line for anything else.
+[[nodiscard]] Command read_delta(const std::string& line);
+
+// The one mapping of a delta onto core::Engine calls. Redistribute runs
+// through the negotiator (paper §4.3): the engine's statements are wrapped
+// in a pooled-cap envelope whose current division is adopted and then
+// re-divided by demand, landing as cap-only set_bandwidth deltas. Throws
+// merlin::Error on engine argument errors, on a rejected redistribution
+// and on a command that is not a delta.
+core::Update_result apply_delta(core::Engine& engine, const Command& command);
 
 struct Options {
     int max_retries = 2;  // extra attempts for transient (timeout) failures
@@ -220,23 +245,54 @@ public:
 private:
     using Clock = std::chrono::steady_clock;
 
-    // The transaction protocol shared by every delta command: checkpoint,
-    // apply, gate, publish-or-rollback, with retry/backoff on transient
-    // failures and injected crash/timeout faults honoured.
-    Response transact(const char* kind, int stream, bool link_delta,
-                      int step,
-                      const std::function<core::Update_result(core::Engine&)>&
-                          apply_delta);
-    Response reload_locked(const ir::Policy& policy, int stream, int step,
-                           Clock::time_point start);
-    Response redistribute_locked(
-        const std::vector<std::pair<std::string, Bandwidth>>& demands,
-        int stream, int step);
+    // What the fault plan injects into one command (its fault step).
+    struct Step_faults {
+        int solver_timeouts = 0;  // leading attempts voided as timeouts
+        bool crash_before_publish = false;
+        bool crash_before_commit = false;  // between prepare and commit
+    };
+    // A refusal's cause, before the caller's rollback and bookkeeping.
+    struct Refused {
+        Refusal code = Refusal::none;
+        std::string reason;
+    };
+    // One provisioning attempt: feasible, or failed transiently (a search
+    // truncated by the node budget) or permanently (proven infeasible).
+    struct Attempt {
+        bool feasible = false;
+        bool transient = false;
+        std::string diagnostic;
+    };
+
+    // Consumes the next fault step and decodes what it injects.
+    Step_faults next_step();
+    // The transaction protocol of every delta: checkpoint, apply, gate,
+    // publish-or-rollback.
+    Response transact(const Command& command, int stream,
+                      const Step_faults& faults, Clock::time_point start);
+    Response reload_locked(const ir::Policy& policy, int stream,
+                           const Step_faults& faults, Clock::time_point start);
+    // Runs `attempt(node_budget)` until it yields a feasible candidate,
+    // retrying transient failures with backoff and an escalating budget;
+    // `discard` (if set) undoes each attempt that is not kept. Returns the
+    // refusal once a failure is permanent or the retries are spent.
+    std::optional<Refused> until_feasible(
+        Response& response, int node_budget, const Step_faults& faults,
+        const std::function<Attempt(int)>& attempt,
+        const std::function<void()>& discard);
+    // Gates a feasible candidate (lint, then the update checker — or the
+    // incremental tables with verification off), builds its snapshot and
+    // publishes it as the next generation, honouring the step's crash
+    // points. On refusal nothing is published; the caller rewinds the
+    // engine and the gate state. An infeasible candidate (only an initial
+    // compile) is published ungated with empty tables.
+    std::optional<Refused> gate_and_publish(const core::Engine& candidate,
+                                            bool check_transition,
+                                            const Step_faults& faults);
 
     // Refusal bookkeeping: stats, per-stream failure counts, quarantine.
     Response refuse(Response response, Refusal code, std::string reason,
-                    int stream, Clock::time_point start,
-                    bool stream_fault = true);
+                    int stream, Clock::time_point start);
     void publish_locked(std::shared_ptr<Snapshot> next);
     bool drain_locked(std::chrono::milliseconds timeout);
     void sleep_for(std::chrono::milliseconds delay);

@@ -4,7 +4,6 @@
 // ddmin over deltas, statements and fault events, keeping only reductions
 // that trip the same oracle).
 #include <chrono>
-#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -12,9 +11,7 @@
 #include <vector>
 
 #include "core/engine.h"
-#include "core/logical.h"
 #include "daemon/daemon.h"
-#include "negotiator/negotiator.h"
 #include "testgen/testgen.h"
 #include "util/error.h"
 
@@ -36,91 +33,6 @@ Run_result invalid(std::string detail, int step) {
     result.failing_step = step;
     return result;
 }
-
-// Applies one delta to the engine, mirroring the runner's model vocabulary.
-// Injections mutate what reaches the engine (never the model), simulating a
-// bug on that delta path.
-void apply_to_engine(core::Engine& engine, const Delta& delta,
-                     const std::vector<Statement_spec>& model_before,
-                     Run_options::Inject inject) {
-    switch (delta.kind) {
-        case Delta_kind::set_bandwidth: {
-            Bandwidth guarantee = delta.stmt.guarantee;
-            if (inject == Run_options::Inject::rate_skew &&
-                guarantee.bps() > 0 &&
-                (!delta.stmt.cap ||
-                 delta.stmt.cap->bps() > guarantee.bps() + 1))
-                guarantee += bits_per_sec(1);
-            (void)engine.set_bandwidth(delta.stmt.stmt.id, guarantee,
-                                       delta.stmt.cap);
-            return;
-        }
-        case Delta_kind::add_statement:
-            (void)engine.add_statement(delta.stmt.stmt, delta.stmt.guarantee,
-                                       delta.stmt.cap);
-            return;
-        case Delta_kind::remove_statement:
-            (void)engine.remove_statement(delta.stmt.stmt.id);
-            return;
-        case Delta_kind::fail_link:
-            (void)engine.fail_link(delta.node_a, delta.node_b);
-            return;
-        case Delta_kind::restore_link:
-            if (inject == Run_options::Inject::drop_restore) return;
-            (void)engine.restore_link(delta.node_a, delta.node_b);
-            return;
-        case Delta_kind::redistribute: {
-            // Through the real negotiator, holding the delegation shape
-            // redistribution is meant for (Section 4.1): the capped
-            // statements share one aggregate max term (the pool), so the
-            // re-division is a refinement inside the envelope. Adoption
-            // pushes cap-only deltas into the engine.
-            ir::Policy envelope;
-            ir::FormulaPtr formula;
-            const auto conjoin = [&formula](ir::FormulaPtr leaf) {
-                formula = formula ? ir::formula_and(formula, std::move(leaf))
-                                  : std::move(leaf);
-            };
-            ir::Term pool_term;
-            Bandwidth pool;
-            for (const Statement_spec& spec : model_before) {
-                envelope.statements.push_back(spec.stmt);
-                if (spec.guaranteed()) {
-                    ir::Term term;
-                    term.ids.push_back(spec.stmt.id);
-                    conjoin(ir::formula_min(std::move(term), spec.guarantee));
-                }
-                if (spec.cap) {
-                    pool_term.ids.push_back(spec.stmt.id);
-                    pool += *spec.cap;
-                }
-            }
-            if (!pool_term.ids.empty())
-                conjoin(ir::formula_max(std::move(pool_term), pool));
-            envelope.formula = formula;
-            negotiator::Negotiator root("fuzz", envelope,
-                                        core::make_alphabet(engine.topology()));
-            root.drive(&engine);
-            // Adopt the current per-statement division as the active
-            // refinement of the pooled envelope (a no-op for the engine),
-            // then re-divide it by demand.
-            const negotiator::Verdict adopted =
-                root.propose(make_policy(model_before));
-            if (!adopted.valid)
-                throw Policy_error("per-statement refinement rejected: " +
-                                   adopted.reason);
-            std::map<std::string, Bandwidth> demands;
-            for (const auto& [id, demand] : delta.demands)
-                demands[id] = demand;
-            const negotiator::Verdict verdict = root.redistribute(demands);
-            if (!verdict.valid)
-                throw Policy_error("redistribute rejected: " + verdict.reason);
-            return;
-        }
-    }
-}
-
-// ---------------------------------------------------------------- daemon mode
 
 // Renders one testgen delta as the control-channel command merlind speaks.
 daemon::Command to_command(const Delta& delta) {
@@ -158,6 +70,25 @@ daemon::Command to_command(const Delta& delta) {
     return cmd;
 }
 
+// Applies one delta to the engine through the daemon's dispatcher, the
+// same path merlind takes. Injections mutate the command that reaches the
+// engine (never the model), simulating a bug on that delta path.
+void apply_to_engine(core::Engine& engine, const Delta& delta,
+                     Run_options::Inject inject) {
+    daemon::Command cmd = to_command(delta);
+    if (inject == Run_options::Inject::rate_skew &&
+        cmd.kind == daemon::Command::Kind::bandwidth &&
+        cmd.guarantee.bps() > 0 &&
+        (!cmd.cap || cmd.cap->bps() > cmd.guarantee.bps() + 1))
+        cmd.guarantee += bits_per_sec(1);
+    if (inject == Run_options::Inject::drop_restore &&
+        cmd.kind == daemon::Command::Kind::restore)
+        return;
+    (void)daemon::apply_delta(engine, cmd);
+}
+
+// ---------------------------------------------------------------- daemon mode
+
 // The inverse mapping, for commands the model vocabulary can express
 // (stream corruption may synthesize admin/invalid lines: nullopt).
 std::optional<Delta> to_delta(const daemon::Command& cmd) {
@@ -193,24 +124,6 @@ std::optional<Delta> to_delta(const daemon::Command& cmd) {
             return delta;
         default:
             return std::nullopt;
-    }
-}
-
-// Commands that run the transaction protocol (publish on success), as
-// opposed to queries and admin.
-bool is_transactional(daemon::Command::Kind kind) {
-    using Kind = daemon::Command::Kind;
-    switch (kind) {
-        case Kind::add:
-        case Kind::remove:
-        case Kind::bandwidth:
-        case Kind::fail:
-        case Kind::restore:
-        case Kind::redistribute:
-        case Kind::reload:
-            return true;
-        default:
-            return false;
     }
 }
 
@@ -311,7 +224,8 @@ Run_result run_daemon_scenario(const Scenario& scenario,
         const daemon::Response r = controller->apply_line(lines[i]);
         const std::shared_ptr<const daemon::Snapshot> after =
             controller->snapshot();
-        if (r.ok && is_transactional(cmd.kind)) {
+        if (r.ok && (daemon::is_delta(cmd.kind) ||
+                     cmd.kind == daemon::Command::Kind::reload)) {
             // New-complete: exactly one generation ahead, and the model
             // must accept the same command (a rogue acceptance means the
             // daemon applied something the engine vocabulary refuses).
@@ -454,14 +368,13 @@ Run_result run_scenario(const Scenario& scenario, const Run_options& options) {
     if (!check(-1)) return result;
     for (std::size_t i = 0; i < scenario.deltas.size(); ++i) {
         const Delta& delta = scenario.deltas[i];
-        const std::vector<Statement_spec> model_before = model;
         if (!apply_delta(model, reference_topo, delta))
             return invalid("delta " + std::to_string(i) + " (" +
                                std::string(to_string(delta.kind)) +
                                ") is invalid against the model",
                            static_cast<int>(i));
         try {
-            apply_to_engine(*engine, delta, model_before, options.inject);
+            apply_to_engine(*engine, delta, options.inject);
         } catch (const Error& e) {
             return invalid("delta " + std::to_string(i) + " (" +
                                std::string(to_string(delta.kind)) +

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <fstream>
 #include <memory>
 #include <optional>
 #include <string>
@@ -372,12 +373,13 @@ TEST(Daemon, RedistributeWithoutCapsIsAnArgumentError) {
 // ------------------------------------------------- wire format round-trips
 
 TEST(Daemon, CommandGrammarRoundTrips) {
-    const std::vector<std::string> lines = {
+    std::vector<std::string> lines = {
         "add min=5 max=20 w : ip.src = 10.0.0.1 -> .*",
         "remove w",
         "bandwidth g 12",
         "bandwidth g 12 48",
         "bandwidth g 1500000bps",
+        "bandwidth g 18446744073709",
         "fail s1 s2",
         "restore s1 s2",
         "redistribute g=30 b=10",
@@ -385,6 +387,20 @@ TEST(Daemon, CommandGrammarRoundTrips) {
         "drain 250",
         "release 4",
     };
+    // merlinc's update scripts are control lines: every delta of the smoke
+    // script parses (and round-trips) as one.
+    std::ifstream script(std::string(MERLIN_TEST_DATA_DIR) +
+                         "/smoke_updates.upd");
+    ASSERT_TRUE(script);
+    int script_lines = 0;
+    for (std::string line; std::getline(script, line);) {
+        if (line.empty() || line.starts_with('#')) continue;
+        EXPECT_TRUE(daemon::is_delta(daemon::parse_command(line).kind))
+            << line;
+        lines.push_back(line);
+        ++script_lines;
+    }
+    EXPECT_GT(script_lines, 0);
     for (const std::string& line : lines) {
         const Command cmd = daemon::parse_command(line);
         ASSERT_NE(cmd.kind, Command::Kind::invalid) << line << ": "
@@ -393,11 +409,22 @@ TEST(Daemon, CommandGrammarRoundTrips) {
         const Command again = daemon::parse_command(wire);
         EXPECT_EQ(daemon::format_command(again), wire) << line;
     }
-    EXPECT_EQ(daemon::parse_command("bogus cmd").kind,
-              Command::Kind::invalid);
-    EXPECT_FALSE(daemon::parse_command("bogus cmd").error.empty());
-    EXPECT_EQ(daemon::parse_command("bandwidth g notarate").kind,
-              Command::Kind::invalid);
+    for (const char* line : {
+             "bogus cmd",
+             "bandwidth g notarate",
+             // Whole Mbps whose bits/sec overflow 64 bits (mbps() wraps).
+             "bandwidth g 18446744073710",
+             "bandwidth g 99999999999999999999999bps",
+             "bandwidth g -5",
+             "release 1x",
+             "release 99999999999",
+             "drain 5abc",
+             "drain -5",
+         }) {
+        const Command cmd = daemon::parse_command(line);
+        EXPECT_EQ(cmd.kind, Command::Kind::invalid) << line;
+        EXPECT_FALSE(cmd.error.empty()) << line;
+    }
 }
 
 TEST(Daemon, ResponseWireFormIsDeterministic) {

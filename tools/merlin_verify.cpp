@@ -9,7 +9,8 @@
 //   2. the symbolic dataplane checker over the generated configuration
 //      (unless --lint-only or the policy is infeasible), and — with
 //      --updates <file> — over every two-phase diff an engine delta replay
-//      publishes, via the same update grammar merlinc uses;
+//      publishes (one delta per line in the grammar of daemon::Command,
+//      src/daemon/daemon.h, shared with merlinc and merlind);
 //   3. the refinement verifier, when --refinement <file> names a policy to
 //      check as a refinement of <policy-file>.
 //
@@ -34,11 +35,11 @@
 #include "analysis/refine.h"
 #include "core/engine.h"
 #include "core/logical.h"
+#include "daemon/daemon.h"
 #include "parser/parser.h"
 #include "topo/generators.h"
 #include "topo/parse.h"
 #include "util/error.h"
-#include "util/strings.h"
 
 namespace {
 
@@ -58,56 +59,21 @@ int usage() {
     return 2;
 }
 
-std::vector<std::string> tokenize(const std::string& line) {
-    std::vector<std::string> out;
-    std::istringstream in(line);
-    std::string token;
-    while (in >> token) out.push_back(std::move(token));
-    return out;
-}
-
-std::uint64_t parse_mbps(const std::string& text) {
-    const auto value = merlin::parse_whole_int(text);
-    if (!value || *value < 0)
-        throw merlin::Error("malformed rate (whole Mbps expected): " + text);
-    return static_cast<std::uint64_t>(*value);
-}
-
-// Replays the update script (merlinc's grammar) without printing per-update
-// engine statistics; the publish hook carries the verification. Before each
-// engine call `link_change` is set so the hook knows whether the previous
-// tables are still comparable (a failed link legitimately breaks them).
+// Replays the update script without printing per-update engine
+// statistics; the publish hook carries the verification. Before each engine
+// call `link_change` is set so the hook knows whether the previous tables
+// are still comparable (a failed link legitimately breaks them).
 void replay_updates(merlin::core::Engine& engine, const std::string& script,
                     bool& link_change) {
     using namespace merlin;
     std::istringstream in(script);
     std::string line;
     while (std::getline(in, line)) {
-        if (const auto hash = line.find('#'); hash != std::string::npos)
-            line.resize(hash);
-        const std::vector<std::string> args = tokenize(line);
-        if (args.empty()) continue;
-        const std::string& command = args[0];
-        link_change = command == "fail" || command == "restore";
-        if (command == "bandwidth" && (args.size() == 3 || args.size() == 4)) {
-            std::optional<Bandwidth> cap;
-            if (args.size() == 4) cap = mbps(parse_mbps(args[3]));
-            engine.set_bandwidth(args[1], mbps(parse_mbps(args[2])), cap);
-        } else if (command == "add" && args.size() >= 2) {
-            const std::string text = line.substr(line.find("add") + 3);
-            const ir::Policy parsed = parser::parse_policy("[" + text + "]");
-            if (parsed.statements.size() != 1)
-                throw Error("add expects one statement: " + line);
-            engine.add_statement(parsed.statements[0]);
-        } else if (command == "remove" && args.size() == 2) {
-            engine.remove_statement(args[1]);
-        } else if (command == "fail" && args.size() == 3) {
-            engine.fail_link(args[1], args[2]);
-        } else if (command == "restore" && args.size() == 3) {
-            engine.restore_link(args[1], args[2]);
-        } else {
-            throw Error("malformed update command: " + line);
-        }
+        const daemon::Command command = daemon::read_delta(line);
+        if (command.text.empty()) continue;
+        link_change = command.kind == daemon::Command::Kind::fail ||
+                      command.kind == daemon::Command::Kind::restore;
+        (void)daemon::apply_delta(engine, command);
     }
 }
 

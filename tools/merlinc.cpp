@@ -39,12 +39,9 @@
 //                               two-phase update; analysis errors exit 1
 //   --quiet                     only print the summary line
 //
-// Update script grammar (one command per line, '#' comments):
-//   bandwidth <id> <guarantee-mbps> [<cap-mbps>]   re-divide bandwidth
-//   add <id> : <predicate> -> <path>               append a statement
-//   remove <id>                                    remove a statement
-//   fail <node-a> <node-b>                         fail the a--b link
-//   restore <node-a> <node-b>                      bring it back
+// Update scripts hold one delta per line ('#' comments) in the grammar of
+// daemon::Command (src/daemon/daemon.h), the control language merlind
+// speaks: add, remove, bandwidth, fail, restore and redistribute.
 //
 // Exit status: 0 on success, 1 on infeasible policy (or a final infeasible
 // engine state after --updates), 2 on usage/parse errors.
@@ -60,6 +57,7 @@
 #include "codegen/diff.h"
 #include "core/compiler.h"
 #include "core/engine.h"
+#include "daemon/daemon.h"
 #include "interp/interp.h"
 #include "parser/parser.h"
 #include "topo/generators.h"
@@ -89,22 +87,6 @@ int usage() {
            "specs: fat-tree:<k>  balanced-tree:<depth>:<fanout>:<hosts>  "
            "campus:<subnets>  zoo:<switches>:<seed>\n";
     return 2;
-}
-
-// Whitespace-tokenizes one update-script line.
-std::vector<std::string> tokenize(const std::string& line) {
-    std::vector<std::string> out;
-    std::istringstream in(line);
-    std::string token;
-    while (in >> token) out.push_back(std::move(token));
-    return out;
-}
-
-std::uint64_t parse_mbps(const std::string& text) {
-    const auto value = merlin::parse_whole_int(text);
-    if (!value || *value < 0)
-        throw merlin::Error("malformed rate (whole Mbps expected): " + text);
-    return static_cast<std::uint64_t>(*value);
 }
 
 // One published configuration's diff, recorded by the engine publish hook
@@ -139,10 +121,11 @@ void write_diff_json(const std::string& path,
 }
 
 // Replays the delta script against the engine, printing one line per
-// update plus an engine-totals summary. When `diffs` is non-null, each
-// update's publish-hook diff record (appended by the hook during the
-// engine call) is labeled with the update kind and, under `emit_diffs`,
-// printed after the update line. Returns the number of updates.
+// update plus an engine-totals summary. When `diffs` is non-null, the
+// publish-hook diff records an update appends during its engine call (one
+// per publication: a redistribute publishes once per re-divided cap) are
+// labeled with the update kind and, under `emit_diffs`, printed after the
+// update line. Returns the number of updates.
 // `link_change` is set before each engine call so the --verify publish hook
 // knows whether the previous tables are still comparable (a failed link
 // legitimately breaks the old configuration).
@@ -154,40 +137,17 @@ int replay_updates(merlin::core::Engine& engine, const std::string& script,
     std::istringstream in(script);
     std::string line;
     while (std::getline(in, line)) {
-        if (const auto hash = line.find('#'); hash != std::string::npos)
-            line.resize(hash);
-        const std::vector<std::string> args = tokenize(line);
-        if (args.empty()) continue;
+        const daemon::Command command = daemon::read_delta(line);
+        if (command.text.empty()) continue;
         ++count;
-        core::Update_result update;
-        const std::string& command = args[0];
-        link_change = command == "fail" || command == "restore";
-        if (command == "bandwidth" &&
-            (args.size() == 3 || args.size() == 4)) {
-            std::optional<Bandwidth> cap;
-            if (args.size() == 4) cap = mbps(parse_mbps(args[3]));
-            update =
-                engine.set_bandwidth(args[1], mbps(parse_mbps(args[2])), cap);
-        } else if (command == "add" && args.size() >= 2) {
-            const std::string text = line.substr(line.find("add") + 3);
-            const ir::Policy parsed =
-                parser::parse_policy("[" + text + "]");
-            if (parsed.statements.size() != 1)
-                throw Error("add expects one statement: " + line);
-            update = engine.add_statement(parsed.statements[0]);
-        } else if (command == "remove" && args.size() == 2) {
-            update = engine.remove_statement(args[1]);
-        } else if (command == "fail" && args.size() == 3) {
-            update = engine.fail_link(args[1], args[2]);
-        } else if (command == "restore" && args.size() == 3) {
-            update = engine.restore_link(args[1], args[2]);
-        } else {
-            throw Error("malformed update command: " + line);
-        }
+        link_change = command.kind == daemon::Command::Kind::fail ||
+                      command.kind == daemon::Command::Kind::restore;
+        const std::size_t first_record = diffs != nullptr ? diffs->size() : 0;
+        const core::Update_result update = daemon::apply_delta(engine, command);
         const core::Engine_stats& w = update.work;
-        std::cout << "update " << count << ": " << update.kind;
-        for (std::size_t i = 1; i < args.size(); ++i)
-            std::cout << ' ' << args[i];
+        // The update's operands as written, after its engine-level kind.
+        std::cout << "update " << count << ": " << update.kind
+                  << command.text.substr(command.text.find(' '));
         std::cout << " -> " << (update.feasible ? "ok" : "INFEASIBLE")
                   << " in " << update.ms << " ms (nfa " << w.automata_built
                   << "+" << w.automata_cache_hits << " cached, logical "
@@ -196,9 +156,9 @@ int replay_updates(merlin::core::Engine& engine, const std::string& script,
                   << " enc, solves " << w.solves << ")";
         if (!update.feasible) std::cout << " — " << update.diagnostic;
         std::cout << '\n';
-        if (diffs != nullptr &&
-            static_cast<std::size_t>(count) < diffs->size()) {
-            Diff_record& rec = (*diffs)[static_cast<std::size_t>(count)];
+        for (std::size_t i = first_record;
+             diffs != nullptr && i < diffs->size(); ++i) {
+            Diff_record& rec = (*diffs)[i];
             rec.kind = update.kind;
             if (rec.feasible) {
                 std::cout << "  diff: rules_touched=" << rec.rules_touched

@@ -2,7 +2,8 @@
 //
 // Compiles an initial policy, then serves it while accepting delta streams
 // over a line-based control channel (stdin, a script file, or a unix
-// socket), one command per line:
+// socket), one command per line in the grammar of daemon::Command
+// (src/daemon/daemon.h):
 //
 //   add [min=<rate>] [max=<rate>] <id> : <predicate> -> <path>
 //   remove <id> | bandwidth <id> <min> [<max>] | fail <a> <b> | restore <a> <b>
@@ -159,9 +160,7 @@ bool serve_stream(merlin::daemon::Controller& controller, std::istream& in,
         const auto [tag, text] = split_stream_tag(line);
         const merlin::daemon::Command command =
             merlin::daemon::parse_command(text);
-        const std::string visible = text.substr(0, text.find('#'));
-        if (command.kind == merlin::daemon::Command::Kind::invalid &&
-            visible.find_first_not_of(" \t") == std::string::npos)
+        if (command.text.empty())
             continue;  // blank/comment line: no command, no response
         const int stream =
             tag >= 0 ? tag : (default_stream >= 0 ? default_stream : 0);
@@ -169,11 +168,8 @@ bool serve_stream(merlin::daemon::Controller& controller, std::istream& in,
             controller.apply(command, stream);
         out << response.to_line() << '\n' << std::flush;
         if (response.ok &&
-            command.kind != merlin::daemon::Command::Kind::stats &&
-            command.kind != merlin::daemon::Command::Kind::generation &&
-            command.kind != merlin::daemon::Command::Kind::drain &&
-            command.kind != merlin::daemon::Command::Kind::release &&
-            command.kind != merlin::daemon::Command::Kind::shutdown)
+            (merlin::daemon::is_delta(command.kind) ||
+             command.kind == merlin::daemon::Command::Kind::reload))
             latencies.push_back(response.ms);
         if (command.kind == merlin::daemon::Command::Kind::shutdown)
             return false;

@@ -18,19 +18,18 @@
 #     multi-threaded front-end), race-checking the parallel compilation
 #     fan-out and the engine's parallel cache fills on every run;
 #   - a Release build of every bench_* target with one tiny bench config as
-#     a smoke check, refreshing the tracked perf datapoints
+#     a smoke check, writing its JSON under build-release/ (untracked,
+#     single-shot host timings; perfbench/ is the repository benchmark):
 #     BENCH_solver.json (per solver mode — full/colgen — wall-clock,
 #     simplex iterations, B&B nodes, colgen rounds/columns, fallbacks),
 #     BENCH_compile.json (front-end timing breakdown per class count)
 #     and BENCH_policy_scale.json (shared
 #     predicate-DAG build/classify throughput and classify-rule dedup at
 #     10^5 statements, with the sharing invariants asserted in-bench);
-#     committing the refreshed files each PR makes git history the perf
-#     trajectory;
 #   - a delta-aware codegen leg: the smoke update script replayed through
 #     `merlinc --updates --emit-diffs` under ASan, with the live
 #     apply-equality check on every two-phase diff and the per-update
-#     diff-size statistics archived at BENCH_diffs.json;
+#     diff-size statistics written to build-release/BENCH_diffs.json;
 #   - a fixed-seed merlin-fuzz smoke leg (Release build): differential
 #     scenarios across all four topology families, every cross-layer oracle
 #     (the incremental-vs-batch diff oracle and the symbolic dataplane
@@ -44,7 +43,8 @@
 #   - a daemon leg: a scripted merlind session (accepted deltas, a proven-
 #     infeasible refusal, an injected crash at a publication point) must
 #     exit cleanly at the expected final generation with delta->publish
-#     latency percentiles archived at BENCH_daemon.json, followed by a
+#     latency percentiles written to build-release/BENCH_daemon.json,
+#     followed by a
 #     200-iteration fixed-seed fault-injection fuzz run (crashes, solver
 #     timeouts, stream corruption/duplication/reordering) with the
 #     snapshot-atomicity oracle alongside the full cross-layer set.
@@ -92,24 +92,25 @@ cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release \
 cmake --build build-release -j "$JOBS"
 # The solver table runs un-tiny: the k=6/k=8 rows are the point (colgen
 # keeps them provisionable) and cost ~1s end to end.
-MERLIN_BENCH_JSON="$PWD/BENCH_solver.json" \
+BENCH_OUT="$PWD/build-release"
+MERLIN_BENCH_JSON="$BENCH_OUT/BENCH_solver.json" \
     ./build-release/bench/bench_fattree_table
-test -s BENCH_solver.json
-MERLIN_BENCH_TINY=1 MERLIN_BENCH_JSON="$PWD/BENCH_compile.json" \
+test -s "$BENCH_OUT/BENCH_solver.json"
+MERLIN_BENCH_TINY=1 MERLIN_BENCH_JSON="$BENCH_OUT/BENCH_compile.json" \
     ./build-release/bench/bench_scaling
-test -s BENCH_compile.json
+test -s "$BENCH_OUT/BENCH_compile.json"
 # Predicate sharing at scale: the bench itself asserts compiles <= distinct
 # predicates and a >=2x classify-rule dedup, so a sharing regression fails
 # the leg rather than just shifting a datapoint.
-MERLIN_BENCH_TINY=1 MERLIN_BENCH_JSON="$PWD/BENCH_policy_scale.json" \
+MERLIN_BENCH_TINY=1 MERLIN_BENCH_JSON="$BENCH_OUT/BENCH_policy_scale.json" \
     ./build-release/bench/bench_policy_scale
-test -s BENCH_policy_scale.json
+test -s "$BENCH_OUT/BENCH_policy_scale.json"
 
 # --- diff replay: two-phase update diffs, apply-checked live, under ASan ----
 ./build-asan/merlinc --generate fat-tree:4 tests/data/smoke_policy.mln \
     --quiet --updates tests/data/smoke_updates.upd --emit-diffs \
-    --diff-json "$PWD/BENCH_diffs.json" > /dev/null
-test -s BENCH_diffs.json
+    --diff-json "$BENCH_OUT/BENCH_diffs.json" > /dev/null
+test -s "$BENCH_OUT/BENCH_diffs.json"
 
 # --- fuzz smoke: fixed-seed differential scenarios, cross-layer oracles -----
 FUZZ_REPRO="$PWD/FUZZ_repro.txt"
@@ -141,15 +142,15 @@ fi
 # The scripted session injects a crash at a publication point (step 3) and
 # drives a proven-infeasible delta; merlind must recover to the last-good
 # snapshot both times, finish at generation 4 with 3 accepted deltas, and
-# archive delta->publish latency percentiles.
+# write delta->publish latency percentiles.
 SESSION_OUT=$(./build-release/merlind --generate fat-tree:4 \
     tests/data/smoke_policy.mln --fault crash-before-publish@3 \
     --script tests/data/daemon_session.ctl \
-    --bench-json "$PWD/BENCH_daemon.json")
+    --bench-json "$BENCH_OUT/BENCH_daemon.json")
 echo "$SESSION_OUT" | grep -q "refused code=infeasible gen=2 kind=bandwidth"
 echo "$SESSION_OUT" | grep -q "refused code=crash gen=2 kind=fail"
 echo "$SESSION_OUT" | grep -q "merlind: exiting gen=4 accepted=3"
-test -s BENCH_daemon.json
+test -s "$BENCH_OUT/BENCH_daemon.json"
 
 # Fault-injection fuzz: fixed-seed scenarios through a daemon::Controller
 # under random crash/timeout/stream faults; every published snapshot must
